@@ -90,7 +90,11 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     Line endings are normalized to "\\n". When `origin_sidecar` is given,
     the listed turn indices are restored as injected turns.
     """
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"bAbI file is not valid UTF-8 at byte {e.start}") from e
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     blocks: list[list[tuple[int, str]]] = [[]]
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line.strip() == "":
@@ -272,7 +276,11 @@ def serialize_origin_sidecar(corpus: DialogCorpus) -> bytes:
 
 def _parse_sidecar(data: bytes) -> dict[str, dict[int, str]]:
     out: dict[str, dict[int, str]] = {}
-    for lineno, line in enumerate(data.decode("utf-8").splitlines(), start=1):
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"sidecar is not valid UTF-8 at byte {e.start}") from e
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         did, sep, rest = line.partition(":")
@@ -285,6 +293,9 @@ def _parse_sidecar(data: bytes) -> dict[str, dict[int, str]]:
                 pos, sep2, pattern = item.partition("=")
                 if not sep2:
                     raise ParseError(f"sidecar line {lineno}: expected index=pattern, got {item!r}")
-                marks[int(pos)] = pattern
+                try:
+                    marks[int(pos)] = pattern
+                except ValueError:
+                    raise ParseError(f"sidecar line {lineno}: turn index {pos!r} is not an integer") from None
         out[did.strip()] = marks
     return out

@@ -9,6 +9,16 @@ turn before the response, agent turns included, so an earlier gold
 response in the history pulls retrieval toward itself; this full-history
 query is what lets injected turns move the baseline's scores. Ties break
 toward the lowest candidate index, so output is scheduling-independent.
+
+Ranking is linear in the history and in the candidates that share a term
+with it. The scorer keeps an inverted index (term -> (candidate, weight)
+postings) and each candidate's norm, both built once. `predict` keeps one
+running history bag per dialog, since a dialog's manifest entries come in
+turn order, and weights it once per entry; only candidates reached through
+the postings of the bag's terms are scored. Each dot product accumulates
+in the bag's first-occurrence term order from zero and is divided as
+`dot / (nh * nc)`, exactly as `TfIdfScorer.score` computes it, so scores
+and tie-breaks are bit-identical to ranking every candidate with `score`.
 """
 
 from __future__ import annotations
@@ -75,13 +85,18 @@ class TfIdfScorer:
         self.candidates = candidates
         n = len(candidates.responses)
         df: Counter = Counter()
-        self._cand_tokens = []
+        cand_tokens = []
         for resp in candidates.responses:
             toks = resp.lower().split()
-            self._cand_tokens.append(toks)
+            cand_tokens.append(toks)
             df.update(set(toks))
         self._idf = {t: math.log(n / c) + 1.0 for t, c in df.items()}
-        self._cand_vectors = [self._vector(toks) for toks in self._cand_tokens]
+        self._cand_vectors = [self._vector(toks) for toks in cand_tokens]
+        self._cand_norms = [math.sqrt(sum(w * w for w in c.values())) for c in self._cand_vectors]
+        self._postings: dict[str, list[tuple[int, float]]] = {}
+        for i, c in enumerate(self._cand_vectors):
+            for t, w in c.items():
+                self._postings.setdefault(t, []).append((i, w))
 
     def _vector(self, tokens: list[str]) -> dict[str, float]:
         vec = {}
@@ -92,7 +107,8 @@ class TfIdfScorer:
         return vec
 
     def score(self, history: list[Turn], candidate_index: int) -> float:
-        """Cosine similarity of the concatenated history and one candidate."""
+        """Cosine similarity of the concatenated history and one candidate.
+        The reference that `best` reproduces bit for bit."""
         if not history:
             raise BaselineError("empty history")
         h = self._vector(" ".join(t.text for t in history).lower().split())
@@ -106,12 +122,34 @@ class TfIdfScorer:
         nc = math.sqrt(sum(w * w for w in c.values()))
         return dot / (nh * nc)
 
+    def add_turn(self, bag: Counter, turn: Turn) -> None:
+        """Count `turn`'s in-vocabulary tokens into a history bag."""
+        bag.update(t for t in turn.text.lower().split() if t in self._idf)
+
     def best(self, history: list[Turn]) -> int:
-        best_i = 0
-        best_s = -1.0
-        for i in range(len(self.candidates.responses)):
-            s = self.score(history, i)
-            if s > best_s:
+        """Index of the highest `score` over all candidates; the lowest index
+        on a tie, so 0 when every score is 0."""
+        if not history:
+            raise BaselineError("empty history")
+        bag: Counter = Counter()
+        for turn in history:
+            self.add_turn(bag, turn)
+        return self.best_for_bag(bag)
+
+    def best_for_bag(self, bag: Counter) -> int:
+        """`best` for a history bag built with `add_turn`."""
+        h = [(t, tf * self._idf[t]) for t, tf in bag.items()]
+        dots: dict[int, float] = {}
+        for t, w in h:
+            for i, cw in self._postings[t]:
+                dots[i] = dots.get(i, 0) + w * cw
+        if not dots:
+            return 0
+        nh = math.sqrt(sum(w * w for _, w in h))
+        best_i, best_s = 0, 0.0
+        for i, dot in dots.items():
+            s = dot / (nh * self._cand_norms[i])
+            if s > best_s or (s == best_s and i < best_i):
                 best_i, best_s = i, s
         return best_i
 
@@ -126,13 +164,16 @@ def predict(corpus: DialogCorpus, manifest: EvalManifest,
     scorer = TfIdfScorer(candidates)
     by_id = corpus.dialog_by_id()
     responses = []
+    bag: Counter = Counter()
+    bag_dialog, bag_end = None, 0
     for entry in manifest.entries:
         dialog = by_id.get(entry.dialog_id)
         if dialog is None or entry.turn_index >= len(dialog.turns):
             raise BaselineError(f"manifest entry {entry.dialog_id}@{entry.turn_index} not in corpus")
-        history = list(dialog.turns[: entry.turn_index])
-        if not history:
-            responses.append(candidates.responses[0])
-            continue
-        responses.append(candidates.responses[scorer.best(history)])
+        if entry.dialog_id != bag_dialog or entry.turn_index < bag_end:
+            bag, bag_dialog, bag_end = Counter(), entry.dialog_id, 0
+        for turn in dialog.turns[bag_end: entry.turn_index]:
+            scorer.add_turn(bag, turn)
+        bag_end = entry.turn_index
+        responses.append(candidates.responses[scorer.best_for_bag(bag)])
     return PredictionSet(tuple(responses), manifest.digest())

@@ -28,6 +28,7 @@ from .model import ModelError
 from .planner import (
     PlanConfig,
     PlanError,
+    PlanMismatchError,
     ShortfallError,
     config_from_dict,
     execute,
@@ -37,7 +38,7 @@ from .planner import (
     render_review,
     sample_review,
 )
-from .recipes import RECIPES, patterns_for_dataset
+from .recipes import RECIPES, InjectionError, patterns_for_dataset
 from .runrecord import RunRecord
 from .stats import corpus_stats, render_stats
 
@@ -65,7 +66,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--preset", choices=("smd-table1", "babi-table1"))
     sp.add_argument("--config", help="plan config JSON file")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--allow-shortfall", action="store_true")
     sp.add_argument("--output", help="updated corpus path (stdout when absent)")
 
@@ -122,13 +122,21 @@ def _resolve_config(args, fmt: str) -> PlanConfig:
             raise UsageError(f"preset {args.preset} does not match --format {fmt}")
         return cfg
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            d = json.load(f)
+        try:
+            with open(args.config, "r", encoding="utf-8") as f:
+                d = json.load(f)
+        except (OSError, ValueError) as e:
+            raise PlanError(f"cannot read config {args.config}: {e}") from e
+        if not isinstance(d, dict):
+            raise PlanError(f"config {args.config}: expected a JSON object")
         d.setdefault("seed", args.seed)
         if args.seed != 0:
             d["seed"] = args.seed
         d["allow_shortfall"] = args.allow_shortfall or d.get("allow_shortfall", False)
-        return config_from_dict(d)
+        try:
+            return config_from_dict(d)
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise PlanError(f"invalid config {args.config}: {type(e).__name__}: {e}") from e
     raise UsageError("one of --preset or --config is required")
 
 
@@ -158,7 +166,7 @@ def cmd_inject(args) -> int:
     corpus = load_corpus(args.input, args.format)
     cfg = _resolve_config(args, args.format)
     pln = plan(corpus, cfg)
-    updated = execute(corpus, pln, jobs=max(1, args.jobs))
+    updated = execute(corpus, pln)
     notes = _inject_diagnostics(pln, updated, cfg)
     for note in notes:
         print(note, file=sys.stderr)
@@ -350,14 +358,13 @@ def main(argv: list[str] | None = None) -> int:
     except ShortfallError as e:
         print(f"plan shortfall: {e}", file=sys.stderr)
         return 3
-    except PlanError as e:
-        msg = str(e)
-        print(f"error: {msg}", file=sys.stderr)
-        return 2 if "mismatch" in msg else 1
-    except (ParseError, MetricError, ModelError, BaselineError) as e:
+    except PlanMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except PlanError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except (ParseError, MetricError, ModelError, BaselineError, InjectionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .babi import ParseError
-from .model import Dialog, DialogCorpus, Speaker, content_digest
+from .model import DialogCorpus, Speaker, content_digest
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,11 @@ def serialize_manifest(m: EvalManifest) -> bytes:
 def parse_manifest(data: bytes) -> EvalManifest:
     tag = ""
     entries = []
-    for lineno, line in enumerate(data.decode("utf-8").splitlines(), start=1):
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"manifest is not valid UTF-8 at byte {e.start}") from e
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -79,7 +83,11 @@ def parse_manifest(data: bytes) -> EvalManifest:
         parts = line.split("\t", 2)
         if len(parts) != 3:
             raise ParseError(f"manifest line {lineno}: expected 3 tab-separated fields")
-        entries.append(ManifestEntry(parts[0], int(parts[1]), parts[2]))
+        try:
+            turn_index = int(parts[1])
+        except ValueError:
+            raise ParseError(f"manifest line {lineno}: turn index {parts[1]!r} is not an integer") from None
+        entries.append(ManifestEntry(parts[0], turn_index, parts[2]))
     return EvalManifest(entries=tuple(entries), corpus_tag=tag)
 
 
@@ -97,7 +105,3 @@ def read_predictions(data: bytes, manifest: EvalManifest) -> PredictionSet:
             f"expected {len(manifest.entries)} predictions, got {len(lines)}"
         )
     return PredictionSet(responses=tuple(lines), manifest_digest=manifest.digest())
-
-
-def manifest_dialogs(corpus: DialogCorpus) -> dict[str, Dialog]:
-    return corpus.dialog_by_id()

@@ -113,14 +113,11 @@ def entity_f1(preds: PredictionSet, manifest: EvalManifest, corpus: DialogCorpus
         raise MetricError(f"unknown entity scope {scope!r}")
     if scope == "global" and not corpus.global_entities:
         raise MetricError("empty entity lexicon")
-    by_id = corpus.dialog_by_id()
+    if scope == "dialog":
+        lexicons = {d.id: d.entity_lexicon() for d in corpus.dialogs}
     tp = fp = fn = 0
     for pred, entry in zip(preds.responses, manifest.entries):
-        if scope == "global":
-            lexicon = corpus.global_entities
-        else:
-            dialog = by_id.get(entry.dialog_id)
-            lexicon = dialog.entity_lexicon() if dialog else set()
+        lexicon = corpus.global_entities if scope == "global" else lexicons.get(entry.dialog_id)
         if not lexicon:
             continue
         gold_set = entities_in(entry.gold_text, lexicon)

@@ -68,17 +68,40 @@ def _match_tokens(text: str) -> list[str]:
     return toks
 
 
+def _max_span(entities) -> int:
+    return max((e.count("_") + 1 for e in entities), default=1)
+
+
+class Lexicon(frozenset):
+    """A frozen set of canonical entities that also carries `max_span`, the
+    token length of its longest member, computed once at construction.
+
+    Equal to, and hashing like, the frozenset of the same members; set
+    operations on it return plain frozensets.
+    """
+
+    __slots__ = ("max_span",)
+
+    def __new__(cls, entities=()):
+        self = super().__new__(cls, entities)
+        self.max_span = _max_span(self)
+        return self
+
+
 def entity_spans(text: str, lexicon: frozenset[str] | set[str]) -> list[tuple[int, int, str]]:
     """Token-aligned lexicon matches in `text`, greedy longest-match.
 
     Returns (start_token, end_token_exclusive, canonical) triples in scan
     order; matched spans never overlap. Multi-token entities match when
-    their tokens joined with '_' equal a lexicon member.
+    their tokens joined with '_' equal a lexicon member. No match is longer
+    than the lexicon's longest entity: a `Lexicon` carries that bound from
+    its construction, and any other set has it computed here, in one pass
+    over its members per call.
     """
     if not lexicon:
         return []
     toks = _match_tokens(text)
-    max_len = max((e.count("_") + 1 for e in lexicon), default=1)
+    max_len = lexicon.max_span if isinstance(lexicon, Lexicon) else _max_span(lexicon)
     spans = []
     i = 0
     n = len(toks)
@@ -121,9 +144,6 @@ class Turn:
     @property
     def is_original(self) -> bool:
         return self.injected_by is None
-
-    def annotation_map(self) -> dict[str, str]:
-        return dict(self.annotations)
 
     def slots(self) -> dict[str, str]:
         """Slot annotations, keyed by slot name (the `slot:` prefix dropped)."""
@@ -201,8 +221,8 @@ class Dialog:
     def original_turns(self) -> tuple[Turn, ...]:
         return tuple(t for t in self.turns if t.is_original)
 
-    def entity_lexicon(self) -> set[str]:
-        return self.kb.all_entities()
+    def entity_lexicon(self) -> Lexicon:
+        return Lexicon(self.kb.all_entities())
 
 
 def _check_alternation(turns: tuple[Turn, ...], label: str) -> None:
@@ -219,7 +239,7 @@ def _check_alternation(turns: tuple[Turn, ...], label: str) -> None:
 class DialogCorpus:
     dialogs: tuple[Dialog, ...]
     source_format: str  # "babi" | "smd"
-    global_entities: frozenset[str] = frozenset()
+    global_entities: Lexicon = Lexicon()
     # Exact bytes of the source file, kept so an untouched corpus can be
     # re-serialized byte-for-byte. Empty for corpora built in memory.
     # A carrier detail: not part of model equality.
@@ -231,6 +251,8 @@ class DialogCorpus:
         ids = [d.id for d in self.dialogs]
         if len(ids) != len(set(ids)):
             raise ModelError("duplicate dialog ids")
+        if not isinstance(self.global_entities, Lexicon):
+            object.__setattr__(self, "global_entities", Lexicon(self.global_entities))
 
     @property
     def is_pristine(self) -> bool:
@@ -254,11 +276,11 @@ def mean_utterances(corpus: DialogCorpus) -> float:
     return sum(utterance_count(d) for d in corpus.dialogs) / len(corpus.dialogs)
 
 
-def build_global_entities(dialogs: tuple[Dialog, ...], extra: set[str] = frozenset()) -> frozenset[str]:
+def build_global_entities(dialogs: tuple[Dialog, ...], extra: set[str] = frozenset()) -> Lexicon:
     ents: set[str] = set(extra)
     for d in dialogs:
         ents |= d.kb.all_entities()
-    return frozenset(ents)
+    return Lexicon(ents)
 
 
 def content_digest(corpus: DialogCorpus) -> str:

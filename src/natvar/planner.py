@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .model import Dialog, DialogCorpus, content_digest
@@ -38,6 +37,10 @@ from .recipes import (
 
 class PlanError(ValueError):
     """Invalid plan configuration or plan/corpus mismatch."""
+
+
+class PlanMismatchError(PlanError):
+    """A plan applied to a corpus or config it was not made for."""
 
 
 class ShortfallError(PlanError):
@@ -146,12 +149,8 @@ class InjectionPlan:
     histogram_note: str = ""
 
 
-def corpus_digest(corpus: DialogCorpus) -> str:
-    return content_digest(corpus)
-
-
 def _config_digest(cfg: PlanConfig, corpus: DialogCorpus) -> str:
-    blob = json.dumps(cfg.to_dict(), sort_keys=True) + corpus_digest(corpus)
+    blob = json.dumps(cfg.to_dict(), sort_keys=True) + content_digest(corpus)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -294,7 +293,7 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
     return InjectionPlan(
         assignments=tuple(assignments),
         config_digest=_config_digest(cfg, corpus),
-        corpus_digest=corpus_digest(corpus),
+        corpus_digest=content_digest(corpus),
         seed=cfg.seed,
         shortfalls=tuple(shortfalls),
         histogram_note=note,
@@ -336,16 +335,13 @@ def _biased_pick(cands: list[str], need: int, count: dict[str, int],
     return chosen
 
 
-def execute(corpus: DialogCorpus, pln: InjectionPlan, seed: int | None = None,
-            jobs: int = 1) -> DialogCorpus:
+def execute(corpus: DialogCorpus, pln: InjectionPlan) -> DialogCorpus:
     """Apply every assignment; pure transformation of the corpus.
 
-    Verifies that the plan was produced for this exact corpus/config pair.
-    Output is independent of `jobs`.
+    Verifies that the plan was made for this exact corpus.
     """
-    active_seed = pln.seed if seed is None else seed
-    if corpus_digest(corpus) != pln.corpus_digest:
-        raise PlanError("plan/corpus mismatch")
+    if content_digest(corpus) != pln.corpus_digest:
+        raise PlanMismatchError("plan/corpus mismatch")
     if not pln.assignments:
         return corpus
 
@@ -355,7 +351,7 @@ def execute(corpus: DialogCorpus, pln: InjectionPlan, seed: int | None = None,
     known = {d.id for d in corpus.dialogs}
     missing = set(by_dialog) - known
     if missing:
-        raise PlanError(f"plan/corpus mismatch: unknown dialog ids {sorted(missing)[:3]}")
+        raise PlanMismatchError(f"plan/corpus mismatch: unknown dialog ids {sorted(missing)[:3]}")
 
     def apply_one(d: Dialog) -> Dialog:
         todo = by_dialog.get(d.id)
@@ -367,31 +363,21 @@ def execute(corpus: DialogCorpus, pln: InjectionPlan, seed: int | None = None,
             recipe = RECIPES[a.pattern]
             t = a.anchor.turn_index
             if t > len(orig_to_curr):
-                raise PlanError(f"plan/corpus mismatch: anchor {t} out of range in {d.id}")
+                raise PlanMismatchError(f"plan/corpus mismatch: anchor {t} out of range in {d.id}")
             curr = orig_to_curr[t] if t < len(orig_to_curr) else len(out.turns)
             rebased = Anchor(a.anchor.dialog_id, curr, a.anchor.bound)
-            out = inject(out, recipe, rebased, active_seed)
+            out = inject(out, recipe, rebased, pln.seed)
             insert_at = curr + 1 if recipe.anchor_kind is AnchorKind.AFTER_AGENT_TURN else curr
             k = recipe.added_turn_count
             orig_to_curr = [x + k if x >= insert_at else x for x in orig_to_curr]
         return out
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            dialogs = tuple(pool.map(apply_one, corpus.dialogs))
-    else:
-        dialogs = tuple(apply_one(d) for d in corpus.dialogs)
     return DialogCorpus(
-        dialogs=dialogs,
+        dialogs=tuple(apply_one(d) for d in corpus.dialogs),
         source_format=corpus.source_format,
         global_entities=corpus.global_entities,
         source_bytes=b"",
     )
-
-
-def verify_plan_matches(corpus: DialogCorpus, pln: InjectionPlan, cfg: PlanConfig) -> None:
-    if _config_digest(cfg, corpus) != pln.config_digest:
-        raise PlanError("plan/corpus mismatch")
 
 
 def ablate(corpus: DialogCorpus, cfg: PlanConfig, pattern: str) -> DialogCorpus:

@@ -1,6 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from natvar.baseline import (
     BaselineError,
@@ -166,3 +169,94 @@ class TestPredict:
         # Two identical candidates: argmax must stay at the first.
         preds = predict(corpus, manifest, CandidateSet(("zz unrelated", "zz unrelated2")))
         assert all(r == "zz unrelated" for r in preds.responses)
+
+
+# --- exactness of the indexed ranking against `score` ------------------------
+
+# Mixed case and a final sigma probe the per-turn lowercasing; "zz" appears in
+# histories only, so zero-overlap histories occur.
+WORDS = ("where", "gas", "Gas", "station", "the", "ΟΔΟΣ", "<silence>", "sunny")
+
+
+def _brute_best(scorer, history):
+    scores = [scorer.score(history, i) for i in range(len(scorer.candidates.responses))]
+    return scores.index(max(scores))
+
+
+def _brute_predict(corpus, manifest, candidates):
+    scorer = TfIdfScorer(candidates)
+    by_id = corpus.dialog_by_id()
+    out = []
+    for e in manifest.entries:
+        history = list(by_id[e.dialog_id].turns[: e.turn_index])
+        out.append(candidates.responses[_brute_best(scorer, history) if history else 0])
+    return tuple(out)
+
+
+_VOCABULARY = st.lists(st.sampled_from(WORDS), min_size=3, max_size=5, unique=True)
+
+
+def _texts(vocab):
+    return st.lists(st.sampled_from(vocab), min_size=1, max_size=6).map(" ".join)
+
+
+@st.composite
+def _ranking_case(draw):
+    vocab = draw(_VOCABULARY)
+    # Few candidates over few words: duplicates and equal scores are common.
+    candidates = draw(st.lists(_texts(vocab), min_size=1, max_size=8))
+    history = draw(st.lists(_texts(vocab + ["zz"]), min_size=1, max_size=6))
+    return CandidateSet(tuple(candidates)), _history(*history)
+
+
+@st.composite
+def _corpus_case(draw):
+    vocab = draw(_VOCABULARY)
+    texts = _texts(vocab + ["zz"])
+    dialogs = tuple(
+        Dialog(id=f"smd-{i}", domain="navigate",
+               turns=tuple(Turn(Speaker.USER if j % 2 == 0 else Speaker.AGENT, t)
+                           for j, t in enumerate(draw(st.lists(texts, min_size=1, max_size=8)))))
+        for i in range(draw(st.integers(1, 3)))
+    )
+    candidates = draw(st.lists(_texts(vocab), min_size=1, max_size=8))
+    return DialogCorpus(dialogs=dialogs, source_format="smd"), CandidateSet(tuple(candidates))
+
+
+class TestIndexedRankingIsExact:
+    @settings(max_examples=300, deadline=None)
+    @given(_ranking_case())
+    # Cosines equal in exact arithmetic (parallel vectors) but not in floating
+    # point: only the reference's own operation order picks the winner.
+    @example((CandidateSet(("where",) * 6 + ("where where where where where where", "gas")),
+              _history("where where where")))
+    def test_best_is_first_argmax_of_score(self, case):
+        candidates, history = case
+        scorer = TfIdfScorer(candidates)
+        assert scorer.best(history) == _brute_best(scorer, history)
+
+    def test_best_rejects_empty_history(self):
+        with pytest.raises(BaselineError):
+            TfIdfScorer(CandidateSet(("a",))).best([])
+
+    @pytest.mark.parametrize("pool", ["gold", "single", "disjoint"])
+    def test_predict_matches_brute_force_on_tiny_corpus(self, pool):
+        corpus = _tiny_corpus()
+        manifest = export_manifest(corpus)
+        candidates = {
+            "gold": candidates_from_corpus(corpus),
+            "single": CandidateSet(("only answer",)),
+            "disjoint": CandidateSet(("zz unrelated", "zz unrelated2")),
+        }[pool]
+        assert predict(corpus, manifest, candidates).responses == _brute_predict(
+            corpus, manifest, candidates)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_corpus_case())
+    def test_predict_matches_brute_force(self, case):
+        corpus, candidates = case
+        manifest = export_manifest(corpus)
+        # Entries out of turn order must not reuse a dialog's running history.
+        shuffled = replace(manifest, entries=manifest.entries[::-1])
+        for m in (manifest, shuffled):
+            assert predict(corpus, m, candidates).responses == _brute_predict(corpus, m, candidates)

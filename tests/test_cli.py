@@ -1,0 +1,89 @@
+"""Exit codes and diagnostics of `natvar.cli.main` on bad input: one line on
+stderr and the code the module docstring assigns, never a traceback."""
+
+import pytest
+
+from natvar import cli
+from natvar.planner import PlanError, PlanMismatchError
+from natvar.synthetic import make_smd_bytes
+
+
+def _run(capsys, argv):
+    code = cli.main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err.strip().splitlines()
+
+
+@pytest.fixture
+def smd_file(tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_bytes(make_smd_bytes(n_dialogs=5))
+    return path
+
+
+@pytest.mark.parametrize("config", [b"{not json", b"[1, 2]", b'{"seed": 1}',
+                                    b'{"targets": {"example_request": "many"}}', b"\xff\xfe"])
+def test_bad_config_is_a_configuration_error(capsys, tmp_path, smd_file, config):
+    path = tmp_path / "config.json"
+    path.write_bytes(config)
+    code, lines = _run(capsys, ["inject", "--input", smd_file, "--format", "smd",
+                                "--config", path, "--output", tmp_path / "out.json"])
+    assert code == 1
+    assert len(lines) == 1 and str(path) in lines[0]
+
+
+def test_directory_as_input_is_a_data_error(capsys, tmp_path):
+    code, lines = _run(capsys, ["inject", "--input", tmp_path, "--format", "smd",
+                                "--preset", "smd-table1"])
+    assert code == 2
+    assert len(lines) == 1
+
+
+def test_non_utf8_babi_corpus_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"1 hello \xff there\tgood morning\n")
+    code, lines = _run(capsys, ["stats", "--input", path, "--format", "babi"])
+    assert code == 2
+    assert lines == ["error: bAbI file is not valid UTF-8 at byte 8"]
+
+
+def test_bad_sidecar_index_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"1 hello\tgood morning\n")
+    (tmp_path / "corpus.txt.origin").write_bytes(b"babi-0: x=open_request_screening\n")
+    code, lines = _run(capsys, ["stats", "--input", path, "--format", "babi"])
+    assert code == 2
+    assert len(lines) == 1 and "sidecar line 1" in lines[0]
+
+
+def test_injection_failure_is_a_data_error(capsys, tmp_path):
+    # A brace in a corpus utterance that a recipe quotes trips the
+    # realization check for unsubstituted slot markers.
+    path = tmp_path / "corpus.json"
+    path.write_bytes(make_smd_bytes(n_dialogs=20).replace(b"where", b"where {"))
+    code, lines = _run(capsys, ["inject", "--input", path, "--format", "smd", "--preset",
+                                "smd-table1", "--allow-shortfall", "--output", tmp_path / "o.json"])
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: unsubstituted slot marker")
+
+
+@pytest.mark.parametrize("manifest", [b"smd-0\tone\thello\n", b"\xff\n"])
+def test_bad_manifest_is_a_parse_error(capsys, tmp_path, smd_file, manifest):
+    (tmp_path / "m.tsv").write_bytes(manifest)
+    (tmp_path / "p.txt").write_bytes(b"hello\n")
+    code, lines = _run(capsys, ["eval", "--predictions", tmp_path / "p.txt",
+                                "--manifest", tmp_path / "m.tsv", "--corpus", smd_file,
+                                "--format", "smd"])
+    assert code == 2
+    assert len(lines) == 1 and "manifest" in lines[0]
+
+
+@pytest.mark.parametrize("error, code", [(PlanMismatchError("plan/corpus mismatch"), 2),
+                                         (PlanError("bad target"), 1)])
+def test_plan_errors_map_by_type(capsys, monkeypatch, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "patterns", fail)
+    assert _run(capsys, ["patterns"]) == (code, [f"error: {error}"])

@@ -1,0 +1,56 @@
+"""Golden digests of the baseline and evaluation outputs on the synthetic
+corpora (seed 0). A change to any digest is a behaviour change: say why in
+CHANGES.md before re-pinning."""
+
+import hashlib
+import json
+
+import pytest
+
+from natvar.baseline import candidates_from_corpus, predict
+from natvar.manifest import export_manifest
+from natvar.metrics import evaluate
+from natvar.planner import execute, plan, preset_config
+
+SMD_PREDICTIONS = "030d82e3b63d99ba8a2e30447cf04baf6a5ba75bb7e70bcfe8a53987435f1312"
+SMD_REPORTS = {
+    "global": "13f29408d244dbd8a809da9f34f65f84c3205e38bc7e5f1c1a82fd49464a62c0",
+    "dialog": "b9c27ed274a1df33755ca302c92b206bb99b8d6d5f3c5db5d268c6c1e2e7d26a",
+}
+BABI_PREDICTIONS = "de0995dfe52dbb693fdba18a43f4d410e13e8e947772d37e95b15cfe2a0cec36"
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _predictions_bytes(preds) -> bytes:
+    """Prediction file as `natvar baseline` writes it."""
+    return ("\n".join(preds.responses) + "\n").encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def smd_run(smd_corpus):
+    updated = execute(smd_corpus, plan(smd_corpus, preset_config("smd-table1", seed=0)))
+    manifest = export_manifest(updated)
+    return updated, manifest, predict(updated, manifest, candidates_from_corpus(updated))
+
+
+def test_smd_baseline_predictions(smd_run):
+    _, _, preds = smd_run
+    assert _digest(_predictions_bytes(preds)) == SMD_PREDICTIONS
+
+
+@pytest.mark.parametrize("scope", ["global", "dialog"])
+def test_smd_report(smd_run, scope):
+    updated, manifest, preds = smd_run
+    report = evaluate(preds, manifest, updated, scope=scope)
+    text = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert _digest(text.encode("utf-8")) == SMD_REPORTS[scope]
+
+
+def test_babi_baseline_predictions(small_babi_corpus):
+    # Long bAbI histories exercise the per-dialog running term count.
+    manifest = export_manifest(small_babi_corpus)
+    preds = predict(small_babi_corpus, manifest, candidates_from_corpus(small_babi_corpus))
+    assert _digest(_predictions_bytes(preds)) == BABI_PREDICTIONS

@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from natvar.model import (
     Dialog,
+    DialogCorpus,
     KbRecord,
+    Lexicon,
     ModelError,
     Speaker,
     Turn,
@@ -95,6 +97,7 @@ class TestEntitiesIn:
         lex = {"chevron", "valero", "783_arcadia_pl", "san_francisco", "san",
                "dish_parking", "783_arcadia"}
         assert entities_in(text, lex) == brute_force_entities(text, lex)
+        assert entities_in(text, Lexicon(lex)) == brute_force_entities(text, lex)
 
     @given(
         st.lists(st.sampled_from(["alpha", "beta", "gamma delta", "x"]), max_size=8),
@@ -103,6 +106,24 @@ class TestEntitiesIn:
     def test_subset_of_lexicon(self, words, lexicon):
         text = " ".join(words) or "placeholder"
         assert entities_in(text, lexicon) <= lexicon
+
+
+class TestLexicon:
+    def test_max_span_is_longest_entity(self):
+        assert Lexicon({"chevron", "783_arcadia_pl", "san_francisco"}).max_span == 3
+        assert Lexicon().max_span == 1
+
+    def test_equals_frozenset(self):
+        lex = Lexicon({"a", "b_c"})
+        assert lex == frozenset({"a", "b_c"}) and hash(lex) == hash(frozenset({"a", "b_c"}))
+
+    def test_corpus_lexicons_carry_their_bound(self, smd_corpus, babi_corpus):
+        for corpus in (smd_corpus, babi_corpus):
+            for lex in (corpus.global_entities, corpus.dialogs[0].entity_lexicon()):
+                assert isinstance(lex, Lexicon)
+                assert lex.max_span == max(e.count("_") + 1 for e in lex)
+        built = DialogCorpus(dialogs=(), source_format="smd", global_entities=frozenset({"x_y"}))
+        assert isinstance(built.global_entities, Lexicon) and built.global_entities.max_span == 2
 
 
 def _dialog(*speakers_texts, domain="navigate"):
