@@ -88,7 +88,8 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     """Parse a bAbI dialog-task file into a corpus.
 
     Line endings are normalized to "\\n". When `origin_sidecar` is given,
-    the listed turn indices are restored as injected turns.
+    the listed turn indices are restored as injected turns; a sidecar entry
+    for a dialog or turn the file does not have raises ParseError.
     """
     try:
         text = data.decode("utf-8")
@@ -110,7 +111,9 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     dialogs = []
     for idx, block in enumerate(blocks):
         dialog_id = f"babi-{idx}"
-        dialogs.append(_parse_block(block, dialog_id, injected.get(dialog_id, {})))
+        dialogs.append(_parse_block(block, dialog_id, injected.pop(dialog_id, {})))
+    if injected:
+        raise ParseError(f"sidecar names a dialog the corpus does not have: {next(iter(injected))}")
 
     dialogs = tuple(dialogs)
     return DialogCorpus(
@@ -170,6 +173,10 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str]) -> Dialo
     for subj, attr, val in pending_kb:
         kb_flushes.append((subj, attr, val, len(turns)))
 
+    for i in injected_turns:
+        if not 0 <= i < len(turns):
+            raise ParseError(f"sidecar: turn {i} is out of range for {dialog_id} "
+                             f"({len(turns)} turns)")
     if injected_turns:
         turns = [
             Turn(t.speaker, t.text, injected_by=injected_turns.get(i), annotations=t.annotations)

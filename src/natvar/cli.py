@@ -24,12 +24,13 @@ from .catalog import list_patterns
 from .io import load_corpus, save_corpus, serialize_corpus, sha256_hex
 from .manifest import export_manifest, parse_manifest, read_predictions, serialize_manifest
 from .metrics import MetricError, compare, evaluate, render_comparison
-from .model import ModelError
+from .model import ModelError, mean_utterances
 from .planner import (
     PlanConfig,
     PlanError,
     PlanMismatchError,
     ShortfallError,
+    ablate,
     config_from_dict,
     execute,
     overlap_histogram,
@@ -39,7 +40,6 @@ from .planner import (
     sample_review,
 )
 from .recipes import RECIPES, InjectionError, patterns_for_dataset
-from .runrecord import RunRecord
 from .stats import corpus_stats, render_stats
 
 
@@ -84,14 +84,12 @@ def _build_parser() -> _Parser:
     sp.add_argument("--output")
 
     sp = sub.add_parser("eval", help="masked evaluation of a prediction file")
-    sp.add_argument("--predictions")
-    sp.add_argument("--manifest")
-    sp.add_argument("--corpus")
-    sp.add_argument("--format", choices=("babi", "smd"))
+    sp.add_argument("--predictions", required=True)
+    sp.add_argument("--manifest", required=True)
+    sp.add_argument("--corpus", required=True)
+    sp.add_argument("--format", required=True, choices=("babi", "smd"))
     sp.add_argument("--entity-scope", choices=("global", "dialog"), default="global")
     sp.add_argument("--compare", help="report JSON of the original run to compare against")
-    sp.add_argument("--compare-reports", nargs=2, metavar=("ORIGINAL", "UPDATED"),
-                    help="compare two existing report JSON files and exit")
     sp.add_argument("--output", help="base path; writes BASE.report.txt/.report.json")
 
     sp = sub.add_parser("review", help="sample updated dialogs for manual review")
@@ -162,6 +160,34 @@ def _inject_diagnostics(pln, updated, cfg) -> list[str]:
     return notes
 
 
+def _write_run(base, subcommand: str, config: dict, inputs: dict, seed: int | None,
+               outputs: list[str], notes=()) -> None:
+    """Write BASE.run.json, the reproducibility record of one run.
+
+    `inputs` maps each input's name to the sha256 of its bytes.
+    """
+    record = {
+        "tool": "natvar",
+        "tool_version": __version__,
+        "subcommand": subcommand,
+        "config": config,
+        "input_checksums": inputs,
+        "seed": seed,
+        "outputs": outputs,
+        "notes": list(notes),
+    }
+    Path(f"{base}.run.json").write_text(json.dumps(record, sort_keys=True, indent=2) + "\n",
+                                        encoding="utf-8")
+
+
+def _save_with_manifest(corpus, out: Path) -> list[str]:
+    """Write the corpus, its bAbI sidecar and OUT.manifest.tsv; returns the paths."""
+    written = [str(p) for p in save_corpus(corpus, out)]
+    Path(f"{out}.manifest.tsv").write_bytes(serialize_manifest(export_manifest(corpus)))
+    written.append(f"{out}.manifest.tsv")
+    return written
+
+
 def cmd_inject(args) -> int:
     corpus = load_corpus(args.input, args.format)
     cfg = _resolve_config(args, args.format)
@@ -170,23 +196,13 @@ def cmd_inject(args) -> int:
     notes = _inject_diagnostics(pln, updated, cfg)
     for note in notes:
         print(note, file=sys.stderr)
-    manifest = export_manifest(updated)
     if args.output:
         out = Path(args.output)
-        written = [str(p) for p in save_corpus(updated, out)]
-        Path(str(out) + ".manifest.tsv").write_bytes(serialize_manifest(manifest))
-        written.append(str(out) + ".manifest.tsv")
-        Path(str(out) + ".plan.tsv").write_bytes(_plan_dump(pln))
-        written.append(str(out) + ".plan.tsv")
-        record = RunRecord(
-            subcommand="inject",
-            config=cfg.to_dict(),
-            input_checksums={str(args.input): sha256_hex(Path(args.input).read_bytes())},
-            seed=cfg.seed,
-            outputs=written,
-            notes=notes,
-        )
-        record.write(out)
+        written = _save_with_manifest(updated, out)
+        Path(f"{out}.plan.tsv").write_bytes(_plan_dump(pln))
+        written.append(f"{out}.plan.tsv")
+        _write_run(out, "inject", cfg.to_dict(),
+                   {args.input: sha256_hex(corpus.source_bytes)}, cfg.seed, written, notes)
     else:
         sys.stdout.buffer.write(serialize_corpus(updated))
     return 0
@@ -213,24 +229,13 @@ def cmd_ablate(args) -> int:
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     ext = "txt" if args.format == "babi" else "json"
-    from .planner import ablate as run_ablate
-
+    inputs = {args.input: sha256_hex(corpus.source_bytes)}
     for name in names:
-        updated = run_ablate(corpus, cfg, name)
+        updated = ablate(corpus, cfg, name)
         out = outdir / f"{name}.{ext}"
-        written = [str(p) for p in save_corpus(updated, out)]
-        manifest = export_manifest(updated)
-        Path(str(out) + ".manifest.tsv").write_bytes(serialize_manifest(manifest))
-        written.append(str(out) + ".manifest.tsv")
-        stats = corpus_stats(updated)
-        print(f"{name}: mean utterances/dialog = {stats.mean_utterances:.2f}", file=sys.stderr)
-        RunRecord(
-            subcommand="ablate",
-            config=dict(cfg.to_dict(), pattern=name),
-            input_checksums={str(args.input): sha256_hex(Path(args.input).read_bytes())},
-            seed=cfg.seed,
-            outputs=written,
-        ).write(out)
+        written = _save_with_manifest(updated, out)
+        print(f"{name}: mean utterances/dialog = {mean_utterances(updated):.2f}", file=sys.stderr)
+        _write_run(out, "ablate", dict(cfg.to_dict(), pattern=name), inputs, cfg.seed, written)
     return 0
 
 
@@ -245,26 +250,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.compare_reports:
-        a = json.loads(Path(args.compare_reports[0]).read_text(encoding="utf-8"))
-        b = json.loads(Path(args.compare_reports[1]).read_text(encoding="utf-8"))
-        table = render_comparison(compare(a, b))
-        if args.output:
-            Path(args.output).write_text(table, encoding="utf-8")
-        else:
-            sys.stdout.write(table)
-        return 0
-    if not (args.predictions and args.manifest and args.corpus and args.format):
-        raise UsageError("--predictions, --manifest, --corpus and --format are required "
-                         "(or use --compare-reports)")
     corpus = load_corpus(args.corpus, args.format)
-    manifest = parse_manifest(Path(args.manifest).read_bytes())
-    preds = read_predictions(Path(args.predictions).read_bytes(), manifest)
-    checksums = tuple(
-        (name, sha256_hex(Path(path).read_bytes()))
-        for name, path in (("corpus", args.corpus), ("manifest", args.manifest),
-                           ("predictions", args.predictions))
-    )
+    manifest_bytes = Path(args.manifest).read_bytes()
+    manifest = parse_manifest(manifest_bytes)
+    preds_bytes = Path(args.predictions).read_bytes()
+    preds = read_predictions(preds_bytes, manifest)
+    checksums = tuple((name, sha256_hex(data)) for name, data in (
+        ("corpus", corpus.source_bytes), ("manifest", manifest_bytes),
+        ("predictions", preds_bytes)))
     report = evaluate(preds, manifest, corpus, scope=args.entity_scope, checksums=checksums)
     out_text = report.render()
     if args.compare:
@@ -274,13 +267,8 @@ def cmd_eval(args) -> int:
         Path(args.output + ".report.txt").write_text(out_text, encoding="utf-8")
         Path(args.output + ".report.json").write_text(
             json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        RunRecord(
-            subcommand="eval",
-            config={"entity_scope": args.entity_scope},
-            input_checksums=dict(checksums),
-            seed=None,
-            outputs=[args.output + ".report.txt", args.output + ".report.json"],
-        ).write(args.output)
+        _write_run(args.output, "eval", {"entity_scope": args.entity_scope}, dict(checksums),
+                   None, [args.output + ".report.txt", args.output + ".report.json"])
     else:
         sys.stdout.write(out_text)
     return 0
@@ -292,13 +280,8 @@ def cmd_review(args) -> int:
     text = render_review(sheet, corpus)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
-        RunRecord(
-            subcommand="review",
-            config={"fraction": args.fraction},
-            input_checksums={str(args.input): sha256_hex(Path(args.input).read_bytes())},
-            seed=args.seed,
-            outputs=[args.output],
-        ).write(args.output)
+        _write_run(args.output, "review", {"fraction": args.fraction},
+                   {args.input: sha256_hex(corpus.source_bytes)}, args.seed, [args.output])
     else:
         sys.stdout.write(text)
     return 0
@@ -317,13 +300,9 @@ def cmd_baseline(args) -> int:
     preds = predict(corpus, manifest, candidates)
     Path(args.out).write_bytes(("\n".join(preds.responses) + "\n").encode("utf-8")
                                if preds.responses else b"")
-    RunRecord(
-        subcommand="baseline",
-        config={"candidates": args.candidates or "(corpus gold responses)"},
-        input_checksums={str(args.corpus): sha256_hex(Path(args.corpus).read_bytes())},
-        seed=None,
-        outputs=[args.out],
-    ).write(args.out)
+    _write_run(args.out, "baseline",
+               {"candidates": args.candidates or "(corpus gold responses)"},
+               {args.corpus: sha256_hex(corpus.source_bytes)}, None, [args.out])
     return 0
 
 

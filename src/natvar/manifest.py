@@ -30,14 +30,6 @@ class EvalManifest:
     def digest(self) -> str:
         return hashlib.sha256(serialize_manifest(self)).hexdigest()
 
-    def dialog_ids(self) -> list[str]:
-        seen, out = set(), []
-        for e in self.entries:
-            if e.dialog_id not in seen:
-                seen.add(e.dialog_id)
-                out.append(e.dialog_id)
-        return out
-
 
 @dataclass(frozen=True)
 class PredictionSet:

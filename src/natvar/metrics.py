@@ -169,19 +169,18 @@ def response_accuracy(preds: PredictionSet, manifest: EvalManifest,
 
 
 def evaluate(preds: PredictionSet, manifest: EvalManifest, corpus: DialogCorpus,
-             scope: str = "global", checksums: tuple[tuple[str, str], ...] = (),
-             notes: tuple[str, ...] = (), warn=None) -> EvalReport:
+             scope: str = "global", checksums: tuple[tuple[str, str], ...] = ()) -> EvalReport:
     per_response, per_dialog = response_accuracy(preds, manifest, len(corpus.dialogs))
     return EvalReport(
         bleu=corpus_bleu(preds, manifest),
-        entity_f1=entity_f1(preds, manifest, corpus, scope, warn=warn),
+        entity_f1=entity_f1(preds, manifest, corpus, scope),
         per_response_acc=per_response,
         per_dialog_acc=per_dialog,
         n_responses=len(manifest.entries),
         n_dialogs=len(corpus.dialogs),
         corpus_tag=manifest.corpus_tag,
         checksums=checksums,
-        notes=notes + (f"bleu=corpus/1-4/uniform/no-smoothing; entity_scope={scope}",),
+        notes=(f"bleu=corpus/1-4/uniform/no-smoothing; entity_scope={scope}",),
     )
 
 

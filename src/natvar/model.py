@@ -22,9 +22,6 @@ class Speaker(str, Enum):
     USER = "user"
     AGENT = "agent"
 
-    def other(self) -> "Speaker":
-        return Speaker.AGENT if self is Speaker.USER else Speaker.USER
-
 
 #: Dialog domains across both corpora. bAbI dialogs are all `restaurant`.
 DOMAINS = ("schedule", "weather", "navigate", "restaurant")

@@ -22,23 +22,19 @@ class PhraseBankError(KeyError):
 _BANK: dict | None = None
 
 
-def load_bank(path: str | None = None) -> dict:
-    """Load the phrase bank, from `path` or from the packaged default."""
+def load_bank() -> dict:
+    """The packaged phrase bank, loaded once."""
     global _BANK
-    if path is not None:
-        with open(path, "rb") as f:
-            return json.load(f)
     if _BANK is None:
         data = resources.files("natvar").joinpath("data/phrase_bank.json").read_bytes()
         _BANK = json.loads(data)
     return _BANK
 
 
-def variants(pattern: str, action: str, domain: str, bank: dict | None = None) -> list[str]:
+def variants(pattern: str, action: str, domain: str) -> list[str]:
     """Surface variants for (pattern, action, domain); raises if absent."""
-    bank = bank if bank is not None else load_bank()
     try:
-        per_domain = bank[pattern][action]
+        per_domain = load_bank()[pattern][action]
     except KeyError as e:
         raise PhraseBankError(f"no phrase bank entry for ({pattern}, {action})") from e
     forms = per_domain.get(domain, per_domain.get("*"))

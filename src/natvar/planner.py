@@ -17,11 +17,9 @@ reported, not hidden.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .model import Dialog, DialogCorpus, content_digest
 from .recipes import (
@@ -31,6 +29,7 @@ from .recipes import (
     PATTERN_ORDER,
     find_anchors,
     inject,
+    keyed_rng,
     patterns_for_dataset,
 )
 
@@ -141,17 +140,11 @@ class Assignment:
 @dataclass(frozen=True)
 class InjectionPlan:
     assignments: tuple[Assignment, ...]
-    config_digest: str
     corpus_digest: str
     seed: int
     # (pattern, requested target, eligible count) for capped patterns.
     shortfalls: tuple[tuple[str, int, int], ...] = ()
     histogram_note: str = ""
-
-
-def _config_digest(cfg: PlanConfig, corpus: DialogCorpus) -> str:
-    blob = json.dumps(cfg.to_dict(), sort_keys=True) + content_digest(corpus)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def adjust_histogram(targets: tuple[int, ...], total: int, n_dialogs: int,
@@ -283,7 +276,7 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
         chosen.sort(key=lambda did: dialog_pos[did])
         for did in chosen:
             options = anchors[(did, p)]
-            pick = _anchor_pick(cfg.seed, did, p, len(options))
+            pick = keyed_rng(cfg.seed, did, p, "anchor-pick").randrange(len(options))
             assignments.append(Assignment(did, p, options[pick]))
             count[did] += 1
 
@@ -292,17 +285,11 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
     assignments.sort(key=lambda a: (pattern_rank[a.pattern], dialog_pos[a.dialog_id]))
     return InjectionPlan(
         assignments=tuple(assignments),
-        config_digest=_config_digest(cfg, corpus),
         corpus_digest=content_digest(corpus),
         seed=cfg.seed,
         shortfalls=tuple(shortfalls),
         histogram_note=note,
     )
-
-
-def _anchor_pick(seed: int, dialog_id: str, pattern: str, n: int) -> int:
-    key = f"{seed}|{dialog_id}|{pattern}|anchor-pick".encode("utf-8")
-    return random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big")).randrange(n)
 
 
 def _biased_pick(cands: list[str], need: int, count: dict[str, int],

@@ -40,7 +40,6 @@ class AnchorKind(Enum):
     BEFORE_AGENT_TURN = "before_agent_turn"
     AFTER_AGENT_TURN = "after_agent_turn"
     BEFORE_USER_TURN = "before_user_turn"
-    DIALOG_END = "dialog_end"
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,6 @@ class TemplateTurn:
 @dataclass(frozen=True)
 class PatternRecipe:
     name: str
-    klass: str
     anchor_kind: AnchorKind
     template: tuple[TemplateTurn, ...]
     datasets: frozenset[str]
@@ -93,22 +91,22 @@ RECIPES: dict[str, PatternRecipe] = {
     r.name: r
     for r in (
         PatternRecipe(
-            "open_request_screening", "A", AnchorKind.DIALOG_START,
+            "open_request_screening", AnchorKind.DIALOG_START,
             _tpl((_U, "PRE-REQUEST", "intent"), (_A, "GO-AHEAD")),
             frozenset({"babi", "smd"}),
         ),
         PatternRecipe(
-            "open_request_user_detail_request", "A", AnchorKind.BEFORE_USER_TURN,
+            "open_request_user_detail_request", AnchorKind.BEFORE_USER_TURN,
             _tpl((_U, "DETAIL-REQUEST"), (_A, "ENUMERATION", "options")),
             frozenset({"babi"}),
         ),
         PatternRecipe(
-            "example_request", "B", AnchorKind.AFTER_AGENT_TURN,
+            "example_request", AnchorKind.AFTER_AGENT_TURN,
             _tpl((_U, "EXAMPLE-REQUEST"), (_A, "EXAMPLE", "example")),
             frozenset({"smd"}),
         ),
         PatternRecipe(
-            "misunderstanding_report", "B", AnchorKind.BEFORE_AGENT_TURN,
+            "misunderstanding_report", AnchorKind.BEFORE_AGENT_TURN,
             _tpl(
                 (_A, "CORRUPTED-ANSWER", "corrupted_answer"),
                 (_U, "REPORT"),
@@ -118,22 +116,22 @@ RECIPES: dict[str, PatternRecipe] = {
             frozenset({"babi", "smd"}),
         ),
         PatternRecipe(
-            "other_correction", "B", AnchorKind.BEFORE_USER_TURN,
+            "other_correction", AnchorKind.BEFORE_USER_TURN,
             _tpl((_U, "SLIP", "slip_utterance"), (_A, "CORRECTION", "value", "distractor")),
             frozenset({"babi", "smd"}),
         ),
         PatternRecipe(
-            "sequence_closer_not_helped", "B", AnchorKind.AFTER_AGENT_TURN,
+            "sequence_closer_not_helped", AnchorKind.AFTER_AGENT_TURN,
             _tpl((_U, "CLOSER"), (_A, "RECEIPT")),
             frozenset({"babi", "smd"}),
         ),
         PatternRecipe(
-            "sequence_closer_repaired", "B", AnchorKind.AFTER_AGENT_TURN,
+            "sequence_closer_repaired", AnchorKind.AFTER_AGENT_TURN,
             _tpl((_U, "APPRECIATION"), (_A, "RECEIPT")),
             frozenset({"babi", "smd"}),
         ),
         PatternRecipe(
-            "capability_expansion", "C", AnchorKind.DIALOG_START,
+            "capability_expansion", AnchorKind.DIALOG_START,
             _tpl(
                 (_U, "CAPABILITY-CHECK"),
                 (_A, "CAPABILITY-LIST", "capabilities"),
@@ -149,7 +147,7 @@ RECIPES: dict[str, PatternRecipe] = {
             frozenset({"babi", "smd"}),
         ),
         PatternRecipe(
-            "recipient_correction", "C", AnchorKind.BEFORE_USER_TURN,
+            "recipient_correction", AnchorKind.BEFORE_USER_TURN,
             _tpl(
                 (_U, "SIDE-REMARK"),
                 (_A, "MISTAKEN-REPLY"),
@@ -185,7 +183,7 @@ def patterns_for_dataset(dataset: str) -> tuple[str, ...]:
     return tuple(n for n in PATTERN_ORDER if dataset in RECIPES[n].datasets)
 
 
-def _keyed_rng(seed: int, dialog_id: str, pattern: str, purpose: str = "") -> random.Random:
+def keyed_rng(seed: int, dialog_id: str, pattern: str, purpose: str) -> random.Random:
     key = f"{seed}|{dialog_id}|{pattern}|{purpose}".encode("utf-8")
     return random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
 
@@ -262,7 +260,7 @@ def find_anchors(recipe: PatternRecipe, d: Dialog, seed: int = 0) -> list[Anchor
     dataset = "babi" if d.domain == "restaurant" else "smd"
     if dataset not in recipe.datasets or not d.turns:
         return []
-    rng = _keyed_rng(seed, d.id, recipe.name, "anchors")
+    rng = keyed_rng(seed, d.id, recipe.name, "anchors")
     finder = _FINDERS[recipe.name]
     return finder(d, rng)
 
@@ -425,22 +423,20 @@ _FINDERS = {
 # --- realization and splicing --------------------------------------------
 
 def realize(recipe: PatternRecipe, action: str, domain: str,
-            bound: dict[str, str], draw: int | random.Random,
-            bank: dict | None = None) -> str:
+            bound: dict[str, str], draw: int) -> str:
     """Surface string for one template action with all slots substituted.
 
-    `draw` selects the variant: an int index (modulo the variant count) or
-    a random.Random consumed for one draw.
+    `draw` selects the variant, modulo the variant count.
     """
-    forms = variants(recipe.name, action, domain, bank)
-    idx = draw.randrange(len(forms)) if isinstance(draw, random.Random) else draw % len(forms)
+    forms = variants(recipe.name, action, domain)
+    return _fill(forms[draw % len(forms)], bound)
+
+
+def _fill(form: str, bound: dict[str, str]) -> str:
     try:
-        text = forms[idx].format_map(bound)
+        return form.format_map(bound)
     except KeyError as e:
         raise InjectionError(f"unresolvable realization slot {e.args[0]!r}") from e
-    if "{" in text or "}" in text:
-        raise InjectionError(f"unsubstituted slot marker remains in {text!r}")
-    return text
 
 
 def _insert_position(recipe: PatternRecipe, d: Dialog, a: Anchor) -> int:
@@ -449,8 +445,6 @@ def _insert_position(recipe: PatternRecipe, d: Dialog, a: Anchor) -> int:
     kind = recipe.anchor_kind
     if kind is AnchorKind.DIALOG_START:
         return a.turn_index
-    if kind is AnchorKind.DIALOG_END:
-        return len(d.turns)
     if a.turn_index >= len(d.turns):
         raise InjectionError(f"anchor index {a.turn_index} out of range for {d.id}")
     at = d.turns[a.turn_index]
@@ -469,8 +463,7 @@ def _insert_position(recipe: PatternRecipe, d: Dialog, a: Anchor) -> int:
     raise InjectionError(f"unsupported anchor kind {kind}")
 
 
-def inject(d: Dialog, recipe: PatternRecipe, a: Anchor, seed: int,
-           bank: dict | None = None) -> Dialog:
+def inject(d: Dialog, recipe: PatternRecipe, a: Anchor, seed: int) -> Dialog:
     """New dialog with the recipe's turns spliced at the anchor.
 
     Pure function of its inputs: surface draws are keyed by
@@ -497,12 +490,12 @@ def inject(d: Dialog, recipe: PatternRecipe, a: Anchor, seed: int,
     if missing:
         raise InjectionError(f"unresolvable realization slot {missing[0]!r}")
 
-    rng = _keyed_rng(seed, d.id, recipe.name, "surface")
+    rng = keyed_rng(seed, d.id, recipe.name, "surface")
     base_draw: dict[str, int] = {}
     seen: dict[str, int] = {}
     new_turns = []
     for t in recipe.template:
-        forms = variants(recipe.name, t.action, d.domain, bank)
+        forms = variants(recipe.name, t.action, d.domain)
         if t.action not in base_draw:
             base_draw[t.action] = rng.randrange(len(forms))
         occ = seen.get(t.action, 0)
@@ -510,8 +503,7 @@ def inject(d: Dialog, recipe: PatternRecipe, a: Anchor, seed: int,
         # Repeated actions rotate variants so cycles do not repeat verbatim.
         idx = (base_draw[t.action] + occ) % len(forms)
         projected = {s.rstrip("0123456789").rstrip("_"): bound[s] for s in t.slots}
-        text = realize(recipe, t.action, d.domain, projected, idx, bank)
-        new_turns.append(Turn(t.speaker, text, injected_by=recipe.name))
+        new_turns.append(Turn(t.speaker, _fill(forms[idx], projected), injected_by=recipe.name))
 
     turns = d.turns[:pos] + tuple(new_turns) + d.turns[pos:]
     return Dialog(id=d.id, domain=d.domain, turns=turns, kb=d.kb, source_info=d.source_info)

@@ -45,7 +45,7 @@ class CorpusStats:
         }
 
 
-def corpus_stats(corpus: DialogCorpus, notes: tuple[str, ...] = ()) -> CorpusStats:
+def corpus_stats(corpus: DialogCorpus) -> CorpusStats:
     counts = {p: 0 for p in patterns_for_dataset(corpus.source_format)}
     for d in corpus.dialogs:
         for p in d.applied_patterns:
@@ -62,7 +62,7 @@ def corpus_stats(corpus: DialogCorpus, notes: tuple[str, ...] = ()) -> CorpusSta
         histogram=tuple(sorted(hist.items())),
         lexicon_size=len(corpus.global_entities),
         checksum=sha256_hex(corpus.source_bytes or serialize_corpus(corpus)),
-        notes=notes + (ADDED_TURNS_ASSUMPTION,),
+        notes=(ADDED_TURNS_ASSUMPTION,),
     )
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 import random
 
+from .babi import API_CALL_SLOTS, BABI_SLOT_VALUES, SLOT_QUESTIONS
+
 # --- SMD ------------------------------------------------------------------
 
 _POI_TYPES = ("gas station", "coffee shop", "pizza restaurant", "grocery store",
@@ -238,19 +240,7 @@ def make_smd_bytes(seed: int = 20304, n_dialogs: int = 304) -> bytes:
 
 # --- bAbI -------------------------------------------------------------------
 
-_CUISINES = ("british", "cantonese", "french", "indian", "italian",
-             "japanese", "korean", "spanish", "thai", "vietnamese")
-_LOCATIONS = ("bangkok", "beijing", "bombay", "hanoi", "london", "madrid",
-              "paris", "rome", "seoul", "tokyo")
-_NUMBERS = ("two", "four", "six", "eight")
-_PRICES = ("cheap", "moderate", "expensive")
-
-_SLOT_QUESTION = {
-    "cuisine": "any preference on a type of cuisine",
-    "location": "where should it be",
-    "number": "how many people would be in your party",
-    "price": "which price range are looking for",
-}
+_SLOT_QUESTION = {slot: question for question, slot in SLOT_QUESTIONS.items()}
 _SLOT_ANSWER = {
     "cuisine": "i love {v} food",
     "location": "in {v}",
@@ -263,22 +253,16 @@ _REQUEST_PART = {
     "number": "for {v} people",
     "price": "in a {v} price range",
 }
-_SLOTS = ("cuisine", "location", "number", "price")
 
 # Cycle of how many slots the opening request provides (4 = none asked).
 _PROVIDED_CYCLE = (4, 3, 2, 4, 3, 1, 4, 2, 3, 4, 3, 4, 2, 3, 4, 1, 3, 2, 4, 3)
 
 
 def _babi_dialog_lines(rng: random.Random, i: int) -> list[str]:
-    values = {
-        "cuisine": rng.choice(_CUISINES),
-        "location": rng.choice(_LOCATIONS),
-        "number": rng.choice(_NUMBERS),
-        "price": rng.choice(_PRICES),
-    }
+    values = {slot: rng.choice(BABI_SLOT_VALUES[slot]) for slot in API_CALL_SLOTS}
     n_provided = _PROVIDED_CYCLE[i % len(_PROVIDED_CYCLE)]
-    provided = list(_SLOTS[:n_provided])
-    missing = [s for s in _SLOTS if s not in provided]
+    provided = list(API_CALL_SLOTS[:n_provided])
+    missing = [s for s in API_CALL_SLOTS if s not in provided]
 
     request = "may i have a table " + " ".join(
         _REQUEST_PART[s].format(v=values[s]) for s in provided

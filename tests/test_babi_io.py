@@ -71,6 +71,15 @@ class TestParse:
         assert babi_corpus.dialogs[0].id == "babi-0"
         assert babi_corpus.dialogs[999].id == "babi-999"
 
+    @pytest.mark.parametrize("sidecar, message", [
+        (b"babi-7: 0=open_request_screening\n", "babi-7"),
+        (b"babi-0: 5=open_request_screening\n", "turn 5 is out of range for babi-0"),
+    ])
+    def test_sidecar_outside_the_corpus_rejected(self, sidecar, message):
+        # One dialog of two turns: neither babi-7 nor turn 5 of babi-0 exists.
+        with pytest.raises(ParseError, match=message):
+            parse_babi(b"1 hi\thello\n", sidecar)
+
     def test_slot_question_detection(self):
         assert slot_for_question("any preference on a type of cuisine") == "cuisine"
         assert slot_for_question("where should it be") == "location"

@@ -4,6 +4,7 @@ stderr and the code the module docstring assigns, never a traceback."""
 import pytest
 
 from natvar import cli
+from natvar.io import load_corpus
 from natvar.planner import PlanError, PlanMismatchError
 from natvar.synthetic import make_smd_bytes
 
@@ -57,15 +58,27 @@ def test_bad_sidecar_index_is_a_parse_error(capsys, tmp_path):
     assert len(lines) == 1 and "sidecar line 1" in lines[0]
 
 
-def test_injection_failure_is_a_data_error(capsys, tmp_path):
-    # A brace in a corpus utterance that a recipe quotes trips the
-    # realization check for unsubstituted slot markers.
+def test_sidecar_outside_the_corpus_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"1 hello\tgood morning\n")
+    (tmp_path / "corpus.txt.origin").write_bytes(b"babi-7: 0=open_request_screening\n")
+    code, lines = _run(capsys, ["stats", "--input", path, "--format", "babi"])
+    assert code == 2
+    assert len(lines) == 1 and "babi-7" in lines[0]
+
+
+def test_braced_corpus_text_is_injected_verbatim(capsys, tmp_path):
+    # Recipes quote corpus utterances (a prior request, a corrupted answer);
+    # a brace in one is text, not a slot marker.
     path = tmp_path / "corpus.json"
     path.write_bytes(make_smd_bytes(n_dialogs=20).replace(b"where", b"where {"))
-    code, lines = _run(capsys, ["inject", "--input", path, "--format", "smd", "--preset",
-                                "smd-table1", "--allow-shortfall", "--output", tmp_path / "o.json"])
-    assert code == 2
-    assert len(lines) == 1 and lines[0].startswith("error: unsubstituted slot marker")
+    out = tmp_path / "o.json"
+    code, _ = _run(capsys, ["inject", "--input", path, "--format", "smd", "--preset",
+                            "smd-table1", "--allow-shortfall", "--output", out])
+    assert code == 0
+    injected = [t.text for d in load_corpus(out, "smd").dialogs for t in d.turns
+                if t.injected_by]
+    assert any(text.startswith("where { is the nearest") for text in injected)
 
 
 @pytest.mark.parametrize("manifest", [b"smd-0\tone\thello\n", b"\xff\n"])
