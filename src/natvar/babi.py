@@ -20,6 +20,7 @@ turn indices are injected and by which pattern:
 
 from __future__ import annotations
 
+from .catalog import list_patterns
 from .model import (
     Dialog,
     DialogCorpus,
@@ -46,6 +47,9 @@ BABI_SLOT_VALUES: dict[str, tuple[str, ...]] = {
     "number": ("two", "four", "six", "eight"),
     "price": ("cheap", "moderate", "expensive"),
 }
+
+# The pattern names an injected turn may carry: those with a recipe.
+_RECIPE_PATTERNS = frozenset(e.id.name for e in list_patterns() if e.has_recipe)
 
 # api_call argument positions, per the task-5 generator.
 API_CALL_SLOTS = ("cuisine", "location", "number", "price")
@@ -89,7 +93,9 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
 
     Line endings are normalized to "\\n". When `origin_sidecar` is given,
     the listed turn indices are restored as injected turns; a sidecar entry
-    for a dialog or turn the file does not have raises ParseError.
+    for a dialog or turn the file does not have, or naming a pattern with no
+    recipe, raises ParseError. A block's lines are read in one pass, then
+    each `Turn` is built once with its final origin and annotations.
     """
     try:
         text = data.decode("utf-8")
@@ -125,11 +131,10 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
 
 
 def _parse_block(block, dialog_id: str, injected_turns: dict[int, str]) -> Dialog:
-    turns: list[Turn] = []
+    pairs: list[tuple[str, str]] = []
     # (subject, attribute, value, turn index of the agent turn the fact precedes)
     kb_flushes: list[tuple[str, str, str, int]] = []
     pending_kb: list[tuple[str, str, str]] = []
-    api_values: dict[str, list[str]] = {}
     prev_index = 0
 
     for lineno, line in block:
@@ -146,21 +151,10 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str]) -> Dialo
             user_text, _, agent_text = rest.partition("\t")
             if not user_text.strip() or not agent_text.strip():
                 raise ParseError(f"line {lineno}: empty utterance")
-            agent_turn_index = len(turns) + 1
             for subj, attr, val in pending_kb:
-                kb_flushes.append((subj, attr, val, agent_turn_index))
+                kb_flushes.append((subj, attr, val, 2 * len(pairs) + 1))
             pending_kb.clear()
-            agent_annotations: tuple[tuple[str, str], ...] = ()
-            # Injected agent turns (a corrupted answer can look like an
-            # api_call) contribute neither annotations nor api values.
-            if agent_turn_index not in injected_turns:
-                args = _api_args(agent_text)
-                if args:
-                    for slot, val in args.items():
-                        api_values.setdefault(slot, []).append(val)
-                    agent_annotations = tuple((f"slot:{k}", v) for k, v in args.items())
-            turns.append(Turn(Speaker.USER, user_text))
-            turns.append(Turn(Speaker.AGENT, agent_text, annotations=agent_annotations))
+            pairs.append((user_text, agent_text))
         else:
             parts = rest.split()
             if len(parts) != 3:
@@ -171,34 +165,38 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str]) -> Dialo
             pending_kb.append((parts[0], parts[1], parts[2]))
 
     for subj, attr, val in pending_kb:
-        kb_flushes.append((subj, attr, val, len(turns)))
+        kb_flushes.append((subj, attr, val, 2 * len(pairs)))
 
     for i in injected_turns:
-        if not 0 <= i < len(turns):
+        if not 0 <= i < 2 * len(pairs):
             raise ParseError(f"sidecar: turn {i} is out of range for {dialog_id} "
-                             f"({len(turns)} turns)")
-    if injected_turns:
-        turns = [
-            Turn(t.speaker, t.text, injected_by=injected_turns.get(i), annotations=t.annotations)
-            for i, t in enumerate(turns)
-        ]
+                             f"({2 * len(pairs)} turns)")
 
-    # Slot annotations for original user turns come from the api_call
-    # argument values. Injected turns never carry derived annotations.
-    if api_values:
-        rebuilt = []
-        for t in turns:
-            if t.speaker is Speaker.USER and t.is_original:
-                toks = set(t.text.lower().split())
-                ann = tuple(
-                    (f"slot:{slot}", next(v for v in vals if v in toks))
-                    for slot, vals in api_values.items()
-                    if any(v in toks for v in vals)
-                )
-                rebuilt.append(Turn(t.speaker, t.text, annotations=ann))
-            else:
-                rebuilt.append(t)
-        turns = rebuilt
+    # Injected agent turns (a corrupted answer can look like an api_call)
+    # contribute neither annotations nor api values.
+    agent_args = [{} if 2 * k + 1 in injected_turns else _api_args(agent_text)
+                  for k, (_, agent_text) in enumerate(pairs)]
+    api_values: dict[str, list[str]] = {}
+    for args in agent_args:
+        for slot, val in args.items():
+            api_values.setdefault(slot, []).append(val)
+
+    turns: list[Turn] = []
+    for k, (user_text, agent_text) in enumerate(pairs):
+        # Slot annotations for original user turns come from the api_call
+        # argument values. Injected turns never carry derived annotations.
+        user_by = injected_turns.get(2 * k)
+        user_annotations: tuple[tuple[str, str], ...] = ()
+        if user_by is None and api_values:
+            toks = set(user_text.lower().split())
+            user_annotations = tuple(
+                (f"slot:{slot}", next(v for v in vals if v in toks))
+                for slot, vals in api_values.items()
+                if any(v in toks for v in vals)
+            )
+        turns.append(Turn(Speaker.USER, user_text, user_by, user_annotations))
+        turns.append(Turn(Speaker.AGENT, agent_text, injected_turns.get(2 * k + 1),
+                          tuple((f"slot:{slot}", v) for slot, v in agent_args[k].items())))
 
     # Anchor each fact by the ordinal of the *original* agent turn it
     # precedes; injected agent turns do not shift the anchors.
@@ -281,6 +279,12 @@ def serialize_origin_sidecar(corpus: DialogCorpus) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def check_pattern_name(name, where: str) -> None:
+    """Raise ParseError unless `name` is a recipe-bearing pattern."""
+    if not isinstance(name, str) or name not in _RECIPE_PATTERNS:
+        raise ParseError(f"{where}: unknown pattern {name!r}")
+
+
 def _parse_sidecar(data: bytes) -> dict[str, dict[int, str]]:
     out: dict[str, dict[int, str]] = {}
     try:
@@ -300,6 +304,7 @@ def _parse_sidecar(data: bytes) -> dict[str, dict[int, str]]:
                 pos, sep2, pattern = item.partition("=")
                 if not sep2:
                     raise ParseError(f"sidecar line {lineno}: expected index=pattern, got {item!r}")
+                check_pattern_name(pattern, f"sidecar line {lineno}")
                 try:
                     marks[int(pos)] = pattern
                 except ValueError:

@@ -99,21 +99,3 @@ CATALOG: tuple[PatternCatalogEntry, ...] = (
 
 def list_patterns() -> tuple[PatternCatalogEntry, ...]:
     return CATALOG
-
-
-def recipe_pattern_names() -> tuple[str, ...]:
-    return tuple(e.id.name for e in CATALOG if e.has_recipe)
-
-
-def by_code(code: str) -> PatternCatalogEntry:
-    for e in CATALOG:
-        if e.code == code:
-            return e
-    raise KeyError(code)
-
-
-def by_name(name: str) -> PatternCatalogEntry:
-    for e in CATALOG:
-        if e.id.name == name:
-            return e
-    raise KeyError(name)

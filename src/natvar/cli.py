@@ -133,7 +133,7 @@ def _resolve_config(args, fmt: str) -> PlanConfig:
         d["allow_shortfall"] = args.allow_shortfall or d.get("allow_shortfall", False)
         try:
             return config_from_dict(d)
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
             raise PlanError(f"invalid config {args.config}: {type(e).__name__}: {e}") from e
     raise UsageError("one of --preset or --config is required")
 

@@ -77,7 +77,13 @@ def _tokens(text: str) -> list[str]:
 
 
 def corpus_bleu(preds: PredictionSet, manifest: EvalManifest) -> float:
-    """Corpus BLEU, orders 1-4, uniform weights, no smoothing, in [0, 100]."""
+    """Corpus BLEU, orders 1-4, uniform weights, no smoothing, in [0, 100].
+
+    Each entry's n-grams of order n+1 are `zip`ped from those of order n,
+    and the clipped match count is a multiset intersection; an entry whose
+    prediction tokenizes as its gold adds max(0, len - n + 1) to order n's
+    matches and totals without counting.
+    """
     _check_aligned(preds, manifest)
     matches = [0] * 4
     totals = [0] * 4
@@ -88,11 +94,18 @@ def corpus_bleu(preds: PredictionSet, manifest: EvalManifest) -> float:
         g = _tokens(entry.gold_text)
         pred_len += len(p)
         gold_len += len(g)
-        for n in range(1, 5):
-            pgrams = Counter(tuple(p[i:i + n]) for i in range(len(p) - n + 1))
-            ggrams = Counter(tuple(g[i:i + n]) for i in range(len(g) - n + 1))
-            matches[n - 1] += sum(min(c, ggrams[gram]) for gram, c in pgrams.items())
-            totals[n - 1] += max(0, len(p) - n + 1)
+        if p == g:  # every n-gram of the prediction is matched by itself
+            for n in range(min(4, len(p))):
+                matches[n] += len(p) - n
+                totals[n] += len(p) - n
+            continue
+        pgrams, ggrams = p, g
+        for n in range(4):
+            if n:
+                pgrams = list(zip(pgrams, p[n:]))
+                ggrams = list(zip(ggrams, g[n:]))
+            totals[n] += len(pgrams)
+            matches[n] += sum((Counter(pgrams) & Counter(ggrams)).values())
     if pred_len == 0 or any(m == 0 for m in matches):
         return 0.0
     log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / 4

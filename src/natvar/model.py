@@ -13,7 +13,6 @@ between workers.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,17 +30,12 @@ class ModelError(ValueError):
     """Invalid dialog structure or invalid operation input."""
 
 
-_WS_RUN = re.compile(r"\s+")
-
-
 def normalize_entity(s: str) -> str:
     """Canonical entity form: lowercase, trimmed, whitespace runs -> '_'.
 
-    Idempotent. Raises ModelError on empty input.
+    Whitespace as `str.split` reads it. Idempotent. Raises ModelError if empty.
     """
-    if not s:
-        raise ModelError("empty entity")
-    out = _WS_RUN.sub("_", s.strip().lower())
+    out = "_".join(s.lower().split())
     if not out:
         raise ModelError("empty entity")
     return out
@@ -65,23 +59,24 @@ def _match_tokens(text: str) -> list[str]:
     return toks
 
 
-def _max_span(entities) -> int:
-    return max((e.count("_") + 1 for e in entities), default=1)
+def _prefixes(entities) -> frozenset[str]:
+    """Every proper prefix of a member that ends just before one of its '_'."""
+    return frozenset(e[:k] for e in entities for k, c in enumerate(e) if c == "_")
 
 
 class Lexicon(frozenset):
-    """A frozen set of canonical entities that also carries `max_span`, the
-    token length of its longest member, computed once at construction.
+    """A frozen set of canonical entities that also carries `prefixes` (see
+    `_prefixes`), the bound `entity_spans` reads, computed at construction.
 
     Equal to, and hashing like, the frozenset of the same members; set
     operations on it return plain frozensets.
     """
 
-    __slots__ = ("max_span",)
+    __slots__ = ("prefixes",)
 
     def __new__(cls, entities=()):
         self = super().__new__(cls, entities)
-        self.max_span = _max_span(self)
+        self.prefixes = _prefixes(self)
         return self
 
 
@@ -90,30 +85,33 @@ def entity_spans(text: str, lexicon: frozenset[str] | set[str]) -> list[tuple[in
 
     Returns (start_token, end_token_exclusive, canonical) triples in scan
     order; matched spans never overlap. Multi-token entities match when
-    their tokens joined with '_' equal a lexicon member. No match is longer
-    than the lexicon's longest entity: a `Lexicon` carries that bound from
-    its construction, and any other set has it computed here, in one pass
-    over its members per call.
+    their tokens joined with '_' equal a lexicon member. From each start the
+    join grows while it is a `_`-boundary prefix of a member (every shorter
+    join of a match is one), and the longest join in the lexicon wins. A
+    `Lexicon` carries its prefix set; any other set has it computed here,
+    in one pass over its members per call.
     """
     if not lexicon:
         return []
+    prefixes = lexicon.prefixes if isinstance(lexicon, Lexicon) else _prefixes(lexicon)
     toks = _match_tokens(text)
-    max_len = lexicon.max_span if isinstance(lexicon, Lexicon) else _max_span(lexicon)
     spans = []
     i = 0
     n = len(toks)
     while i < n:
-        hit = None
-        for j in range(min(n, i + max_len), i, -1):
-            cand = "_".join(toks[i:j])
+        cand = toks[i]
+        hit = cand if cand in lexicon else None
+        end = j = i + 1
+        while j < n and cand in prefixes:
+            cand += "_" + toks[j]
+            j += 1
             if cand in lexicon:
-                hit = (i, j, cand)
-                break
-        if hit:
-            spans.append(hit)
-            i = hit[1]
-        else:
+                hit, end = cand, j
+        if hit is None:
             i += 1
+        else:
+            spans.append((i, end, hit))
+            i = end
     return spans
 
 

@@ -124,8 +124,8 @@ def config_from_dict(d: dict) -> PlanConfig:
         targets={str(k): int(v) for k, v in d["targets"].items()},
         seed=int(d.get("seed", 0)),
         max_patterns_per_dialog=int(d.get("max_patterns_per_dialog", 4)),
-        pattern_order=tuple(d.get("pattern_order", PATTERN_ORDER)),
-        histogram_targets=tuple(d["histogram_targets"]) if d.get("histogram_targets") else None,
+        pattern_order=tuple(str(p) for p in d.get("pattern_order", PATTERN_ORDER)),
+        histogram_targets=tuple(int(n) for n in d["histogram_targets"]) if d.get("histogram_targets") else None,
         allow_shortfall=bool(d.get("allow_shortfall", False)),
     )
 

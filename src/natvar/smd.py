@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 
-from .babi import ParseError
+from .babi import ParseError, check_pattern_name
 from .model import (
     Dialog,
     DialogCorpus,
@@ -90,6 +90,8 @@ def _parse_dialogue(el, index: int) -> Dialog:
         if not text:
             raise ParseError(f"dialog {index}: empty utterance in turn {j}")
         injected_by = obj.get("pattern") if obj.get("injected") else None
+        if obj.get("injected"):
+            check_pattern_name(injected_by, f"dialog {index}: turn {j}")
         annotations = () if injected_by else _turn_annotations(obj["data"], text, kb)
         try:
             turns.append(Turn(speaker, text, injected_by=injected_by, annotations=annotations))

@@ -80,6 +80,12 @@ class TestParse:
         with pytest.raises(ParseError, match=message):
             parse_babi(b"1 hi\thello\n", sidecar)
 
+    @pytest.mark.parametrize("pattern", ["bogus", "", "Open_Request_Screening"])
+    def test_sidecar_unknown_pattern_rejected(self, pattern):
+        sidecar = f"babi-0: 1={pattern}\n".encode()
+        with pytest.raises(ParseError, match=f"sidecar line 1: unknown pattern {pattern!r}"):
+            parse_babi(b"1 hi\thello\n", sidecar)
+
     def test_slot_question_detection(self):
         assert slot_for_question("any preference on a type of cuisine") == "cuisine"
         assert slot_for_question("where should it be") == "location"

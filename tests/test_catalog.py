@@ -1,4 +1,4 @@
-from natvar.catalog import by_code, by_name, list_patterns, recipe_pattern_names
+from natvar.catalog import list_patterns
 from natvar.recipes import ADDED_TURNS, PATTERN_ORDER, RECIPES
 
 
@@ -16,8 +16,7 @@ def test_recipe_codes():
 
 
 def test_capability_expansion_lookup():
-    assert by_code("C3.1").id.name == "capability_expansion"
-    assert by_name("capability_expansion").code == "C3.1"
+    assert [e.id.name for e in list_patterns() if e.code == "C3.1"] == ["capability_expansion"]
 
 
 def test_class_distribution():
@@ -33,7 +32,7 @@ def test_catalog_names_unique():
 
 
 def test_recipes_match_catalog():
-    assert set(RECIPES) == set(recipe_pattern_names())
+    assert {e.id.name for e in list_patterns() if e.has_recipe} == set(RECIPES)
     assert set(PATTERN_ORDER) == set(RECIPES)
 
 

@@ -1,12 +1,19 @@
 """Exit codes and diagnostics of `natvar.cli.main` on bad input: one line on
 stderr and the code the module docstring assigns, never a traceback."""
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natvar import cli
-from natvar.io import load_corpus
-from natvar.planner import PlanError, PlanMismatchError
-from natvar.synthetic import make_smd_bytes
+from natvar.babi import serialize_origin_sidecar
+from natvar.io import load_corpus, parse_corpus, serialize_corpus
+from natvar.manifest import export_manifest, serialize_manifest
+from natvar.planner import PlanError, PlanMismatchError, config_from_dict, execute, plan
+from natvar.synthetic import make_babi_bytes, make_smd_bytes
 
 
 def _run(capsys, argv):
@@ -24,7 +31,9 @@ def smd_file(tmp_path):
 
 
 @pytest.mark.parametrize("config", [b"{not json", b"[1, 2]", b'{"seed": 1}',
-                                    b'{"targets": {"example_request": "many"}}', b"\xff\xfe"])
+                                    b'{"targets": {"example_request": "many"}}', b"\xff\xfe",
+                                    b'{"targets": {"example_request": 1e999}}',
+                                    b'{"targets": {}, "histogram_targets": [1, null]}'])
 def test_bad_config_is_a_configuration_error(capsys, tmp_path, smd_file, config):
     path = tmp_path / "config.json"
     path.write_bytes(config)
@@ -67,6 +76,15 @@ def test_sidecar_outside_the_corpus_is_a_parse_error(capsys, tmp_path):
     assert len(lines) == 1 and "babi-7" in lines[0]
 
 
+def test_unknown_sidecar_pattern_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"1 hello\tgood morning\n")
+    (tmp_path / "corpus.txt.origin").write_bytes(b"babi-0: 1=bogus\n")
+    code, lines = _run(capsys, ["stats", "--input", path, "--format", "babi"])
+    assert code == 2
+    assert lines == ["error: sidecar line 1: unknown pattern 'bogus'"]
+
+
 def test_braced_corpus_text_is_injected_verbatim(capsys, tmp_path):
     # Recipes quote corpus utterances (a prior request, a corrupted answer);
     # a brace in one is text, not a slot marker.
@@ -100,3 +118,57 @@ def test_plan_errors_map_by_type(capsys, monkeypatch, error, code):
 
     monkeypatch.setitem(cli._COMMANDS, "patterns", fail)
     assert _run(capsys, ["patterns"]) == (code, [f"error: {error}"])
+
+
+# --- fuzzing ------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_seeds():
+    """Valid input files per format, the starting points of the mutations."""
+    seeds = {}
+    for fmt, data in (("smd", make_smd_bytes(n_dialogs=3)), ("babi", make_babi_bytes(n_dialogs=2))):
+        corpus = parse_corpus(data, fmt)
+        updated = execute(corpus, plan(corpus, config_from_dict(
+            {"targets": {"open_request_screening": 1}})))
+        manifest = export_manifest(updated)
+        seeds[fmt] = {
+            "corpus": serialize_corpus(updated),
+            "manifest": serialize_manifest(manifest),
+            "predictions": "".join(f"{e.gold_text}\n" for e in manifest.entries).encode(),
+            "config": b'{"targets": {"open_request_screening": 1}, "seed": 3, '
+                      b'"max_patterns_per_dialog": 2, "histogram_targets": [1, 0]}',
+        }
+        if fmt == "babi":
+            seeds[fmt]["sidecar"] = serialize_origin_sidecar(updated)
+    return seeds
+
+
+def _mutated(seed: bytes):
+    """Arbitrary bytes, or the seed with a short run of bytes spliced in."""
+    splice = st.tuples(st.integers(0, len(seed)), st.integers(0, 6), st.binary(max_size=6))
+    return st.one_of(st.binary(max_size=40),
+                     splice.map(lambda t: seed[:t[0]] + t[2] + seed[t[0] + t[1]:]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_arbitrary_input_files_exit_cleanly(tmp_path_factory, fuzz_seeds, data):
+    fmt = data.draw(st.sampled_from(["babi", "smd"]), label="format")
+    files = {name: data.draw(_mutated(seed), label=name) for name, seed in fuzz_seeds[fmt].items()}
+    work = tmp_path_factory.mktemp("fuzz")
+    corpus = work / "corpus"
+    corpus.write_bytes(files["corpus"])
+    if "sidecar" in files:
+        (work / "corpus.origin").write_bytes(files["sidecar"])
+    for name in ("manifest", "predictions", "config"):
+        (work / name).write_bytes(files[name])
+    for argv in (["stats", "--input", corpus, "--format", fmt],
+                 ["inject", "--input", corpus, "--format", fmt, "--config", work / "config",
+                  "--output", work / "out"],
+                 ["eval", "--predictions", work / "predictions", "--manifest", work / "manifest",
+                  "--corpus", corpus, "--format", fmt, "--output", work / "eval"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([str(a) for a in argv])
+        assert code in (0, 1, 2, 3), (argv[0], code)
+        assert "Traceback" not in err.getvalue()

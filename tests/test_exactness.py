@@ -1,0 +1,163 @@
+"""The text hot paths against the straightforward code they replaced.
+
+Each reference below is the earlier implementation, kept verbatim in
+behaviour: the entity matcher that joins up to `max_span` tokens at every
+start, the regular-expression entity normalizer, and corpus BLEU with one
+`Counter` per order built from slices. The library forms must return the
+same values, compared with `==`.
+"""
+
+import math
+import re
+from collections import Counter
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from natvar.manifest import EvalManifest, ManifestEntry, PredictionSet
+from natvar.metrics import corpus_bleu
+from natvar.model import Lexicon, ModelError, entity_spans, normalize_entity
+
+
+def reference_entity_spans(text, lexicon):
+    """Greedy longest-first scan: at each start, try every join of up to
+    the longest member's token count, longest first."""
+    if not lexicon:
+        return []
+    toks = []
+    for raw in text.lower().split():
+        t = raw.strip(".,!?;:\"'()")
+        toks.append(t if t else raw)
+    max_len = max((e.count("_") + 1 for e in lexicon), default=1)
+    spans = []
+    i = 0
+    n = len(toks)
+    while i < n:
+        hit = None
+        for j in range(min(n, i + max_len), i, -1):
+            cand = "_".join(toks[i:j])
+            if cand in lexicon:
+                hit = (i, j, cand)
+                break
+        if hit:
+            spans.append(hit)
+            i = hit[1]
+        else:
+            i += 1
+    return spans
+
+
+def reference_normalize_entity(s):
+    if not s:
+        raise ModelError("empty entity")
+    out = re.sub(r"\s+", "_", s.strip().lower())
+    if not out:
+        raise ModelError("empty entity")
+    return out
+
+
+def reference_corpus_bleu(pred_sents, gold_sents):
+    matches = [0] * 4
+    totals = [0] * 4
+    pred_len = 0
+    gold_len = 0
+    for pred, gold in zip(pred_sents, gold_sents):
+        p = pred.lower().split()
+        g = gold.lower().split()
+        pred_len += len(p)
+        gold_len += len(g)
+        for n in range(1, 5):
+            pgrams = Counter(tuple(p[i:i + n]) for i in range(len(p) - n + 1))
+            ggrams = Counter(tuple(g[i:i + n]) for i in range(len(g) - n + 1))
+            matches[n - 1] += sum(min(c, ggrams[gram]) for gram, c in pgrams.items())
+            totals[n - 1] += max(0, len(p) - n + 1)
+    if pred_len == 0 or any(m == 0 for m in matches):
+        return 0.0
+    log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / 4
+    bp = 1.0 if pred_len > gold_len else math.exp(1 - gold_len / pred_len)
+    return 100.0 * bp * math.exp(log_precision)
+
+
+# --- entity spans ---------------------------------------------------------------
+
+# Members that are prefixes of other members, a member whose tokens carry
+# `_` themselves, and members that start or end at a `_`.
+_WORDS = ["san", "francisco", "bay", "a", "b", "b_c", "c", "_", "x_", "the"]
+_MEMBERS = ["san", "san_francisco", "san_francisco_bay", "francisco_bay", "a_b_c",
+            "a_b", "b_c", "a__", "x__", "c_the_c", "bay_a", "the_san"]
+
+
+@st.composite
+def _texts(draw):
+    words = draw(st.lists(st.sampled_from(_WORDS), max_size=12))
+    out = []
+    for w in words:
+        w = draw(st.sampled_from([w, w.upper(), w.title()]))
+        out.append(draw(st.sampled_from(["", "(", "'"])) + w
+                   + draw(st.sampled_from(["", ".", ",", "?!", ")"])))
+    return " ".join(out)
+
+
+class TestEntitySpansExact:
+    @settings(max_examples=100)
+    @given(_texts(), st.sets(st.sampled_from(_MEMBERS)))
+    @example("San Francisco Bay, san francisco. bay", {"san", "san_francisco_bay", "francisco_bay"})
+    @example("san francisco bay", {"san_francisco", "san_francisco_bay"})
+    @example("a b_c c the c", {"a_b_c", "b_c", "c_the_c"})
+    @example("x _ _ x", {"x__", "x"})
+    @example("a a a a a a a", {"a_a_a"})
+    def test_same_span_list(self, text, members):
+        expected = reference_entity_spans(text, members)
+        assert entity_spans(text, members) == expected
+        assert entity_spans(text, Lexicon(members)) == expected
+
+    def test_corpus_lexicon(self, babi_corpus):
+        lexicon = babi_corpus.global_entities
+        for d in babi_corpus.dialogs[:10]:
+            for t in d.turns:
+                assert entity_spans(t.text, lexicon) == reference_entity_spans(t.text, lexicon)
+
+
+# --- normalize_entity -----------------------------------------------------------
+
+class TestNormalizeEntityExact:
+    @given(st.text())
+    @example("a b\x1c c　d\x85")
+    @example(" \t\n")
+    def test_same_as_regex_form(self, s):
+        try:
+            expected = reference_normalize_entity(s)
+        except ModelError:
+            with pytest.raises(ModelError, match="empty entity"):
+                normalize_entity(s)
+        else:
+            assert normalize_entity(s) == expected
+
+
+# --- corpus BLEU ----------------------------------------------------------------
+
+def _bleu(preds, golds):
+    manifest = EvalManifest(tuple(ManifestEntry(f"d{i}", 1, g) for i, g in enumerate(golds)), "t")
+    return corpus_bleu(PredictionSet(tuple(preds), manifest.digest()), manifest)
+
+
+_sentences = st.lists(st.sampled_from(["a", "b", "c", "A", "d"]), max_size=7).map(" ".join)
+
+
+@st.composite
+def _pairs(draw):
+    golds = draw(st.lists(_sentences, min_size=1, max_size=6))
+    preds = [g if draw(st.booleans()) else draw(_sentences) for g in golds]
+    return preds, golds
+
+
+class TestCorpusBleuExact:
+    @settings(max_examples=100)
+    @given(_pairs())
+    @example((["a b c d e", "a b"], ["a b c d e", "a b"]))
+    @example((["a b c", "d"], ["a b c", "c d"]))
+    @example((["a a a a", "b"], ["a a", "b"]))
+    def test_same_as_counter_form(self, pair):
+        preds, golds = pair
+        assert _bleu(preds, golds) == reference_corpus_bleu(preds, golds)

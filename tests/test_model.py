@@ -109,9 +109,10 @@ class TestEntitiesIn:
 
 
 class TestLexicon:
-    def test_max_span_is_longest_entity(self):
-        assert Lexicon({"chevron", "783_arcadia_pl", "san_francisco"}).max_span == 3
-        assert Lexicon().max_span == 1
+    def test_prefixes_end_before_an_underscore(self):
+        assert Lexicon({"chevron", "783_arcadia_pl", "san_francisco"}).prefixes == {
+            "783", "783_arcadia", "san"}
+        assert Lexicon().prefixes == frozenset()
 
     def test_equals_frozenset(self):
         lex = Lexicon({"a", "b_c"})
@@ -121,9 +122,9 @@ class TestLexicon:
         for corpus in (smd_corpus, babi_corpus):
             for lex in (corpus.global_entities, corpus.dialogs[0].entity_lexicon()):
                 assert isinstance(lex, Lexicon)
-                assert lex.max_span == max(e.count("_") + 1 for e in lex)
+                assert lex.prefixes == {e[:k] for e in lex for k, c in enumerate(e) if c == "_"}
         built = DialogCorpus(dialogs=(), source_format="smd", global_entities=frozenset({"x_y"}))
-        assert isinstance(built.global_entities, Lexicon) and built.global_entities.max_span == 2
+        assert isinstance(built.global_entities, Lexicon) and built.global_entities.prefixes == {"x"}
 
 
 def _dialog(*speakers_texts, domain="navigate"):

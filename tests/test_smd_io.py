@@ -54,6 +54,14 @@ class TestParse:
         with pytest.raises(ParseError, match="dialog 0"):
             parse_smd(_doc([bad]))
 
+    @pytest.mark.parametrize("pattern", ["bogus", None, ["open_request_screening"]])
+    def test_unknown_injected_pattern_rejected(self, pattern):
+        d = _dialogue(n_exchanges=2)
+        for turn in d["dialogue"][:2]:
+            turn.update(injected=True, pattern=pattern)
+        with pytest.raises(ParseError, match="dialog 0: turn 0: unknown pattern"):
+            parse_smd(_doc([d]))
+
     def test_domains_cover_all_three(self, smd_corpus):
         assert {d.domain for d in smd_corpus.dialogs} == {"navigate", "weather", "schedule"}
 
