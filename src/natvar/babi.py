@@ -37,6 +37,14 @@ class ParseError(ValueError):
     """Malformed corpus, prediction, or sidecar input."""
 
 
+def decode_utf8(data: bytes, what: str) -> str:
+    """`data` as UTF-8 text; a ParseError names `what` and the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{what} is not valid UTF-8 at byte {e.start}") from e
+
+
 # Fixed value vocabulary of the bAbI restaurant simulator. Used both as the
 # format-specific entity lexicon and as the option source for enumerations.
 BABI_SLOT_VALUES: dict[str, tuple[str, ...]] = {
@@ -97,11 +105,7 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     recipe, raises ParseError. A block's lines are read in one pass, then
     each `Turn` is built once with its final origin and annotations.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"bAbI file is not valid UTF-8 at byte {e.start}") from e
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = decode_utf8(data, "bAbI file").replace("\r\n", "\n").replace("\r", "\n")
     blocks: list[list[tuple[int, str]]] = [[]]
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line.strip() == "":
@@ -287,11 +291,7 @@ def check_pattern_name(name, where: str) -> None:
 
 def _parse_sidecar(data: bytes) -> dict[str, dict[int, str]]:
     out: dict[str, dict[int, str]] = {}
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"sidecar is not valid UTF-8 at byte {e.start}") from e
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(decode_utf8(data, "sidecar").splitlines(), start=1):
         if not line.strip():
             continue
         did, sep, rest = line.partition(":")

@@ -27,7 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .babi import ParseError
+from .babi import ParseError, decode_utf8
 from .manifest import EvalManifest, PredictionSet
 from .model import DialogCorpus, Turn
 
@@ -50,7 +50,7 @@ def load_candidates(data: bytes) -> CandidateSet:
     file numbering) is stripped. Deduplicated keeping first occurrence."""
     seen = set()
     out = []
-    for line in data.decode("utf-8").splitlines():
+    for line in decode_utf8(data, "candidate file").splitlines():
         line = line.strip()
         if not line:
             continue

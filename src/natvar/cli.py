@@ -23,7 +23,7 @@ from .baseline import BaselineError, candidates_from_corpus, load_candidates, pr
 from .catalog import list_patterns
 from .io import load_corpus, save_corpus, serialize_corpus, sha256_hex
 from .manifest import export_manifest, parse_manifest, read_predictions, serialize_manifest
-from .metrics import MetricError, compare, evaluate, render_comparison
+from .metrics import MetricError, compare, evaluate, read_report, render_comparison
 from .model import ModelError, mean_utterances
 from .planner import (
     PlanConfig,
@@ -123,7 +123,7 @@ def _resolve_config(args, fmt: str) -> PlanConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as f:
                 d = json.load(f)
-        except (OSError, ValueError) as e:
+        except (OSError, ValueError, RecursionError) as e:
             raise PlanError(f"cannot read config {args.config}: {e}") from e
         if not isinstance(d, dict):
             raise PlanError(f"config {args.config}: expected a JSON object")
@@ -261,7 +261,7 @@ def cmd_eval(args) -> int:
     report = evaluate(preds, manifest, corpus, scope=args.entity_scope, checksums=checksums)
     out_text = report.render()
     if args.compare:
-        original = json.loads(Path(args.compare).read_text(encoding="utf-8"))
+        original = read_report(Path(args.compare).read_bytes())
         out_text += "\n" + render_comparison(compare(original, report.to_dict()))
     if args.output:
         Path(args.output + ".report.txt").write_text(out_text, encoding="utf-8")

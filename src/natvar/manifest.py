@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .babi import ParseError
+from .babi import ParseError, decode_utf8
 from .model import DialogCorpus, Speaker, content_digest
 
 
@@ -61,11 +61,7 @@ def serialize_manifest(m: EvalManifest) -> bytes:
 def parse_manifest(data: bytes) -> EvalManifest:
     tag = ""
     entries = []
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"manifest is not valid UTF-8 at byte {e.start}") from e
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(decode_utf8(data, "manifest").splitlines(), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -85,11 +81,7 @@ def parse_manifest(data: bytes) -> EvalManifest:
 
 def read_predictions(data: bytes, manifest: EvalManifest) -> PredictionSet:
     """One predicted response per line, aligned to manifest order."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"predictions are not valid UTF-8 at byte {e.start}") from e
-    lines = text.split("\n")
+    lines = decode_utf8(data, "prediction file").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if len(lines) != len(manifest.entries):

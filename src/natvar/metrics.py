@@ -2,20 +2,29 @@
 
 All four measures score only the agent responses listed in the manifest,
 i.e. the ones present in the source test set; injected responses are never
-scored. BLEU is corpus-level with n-gram orders 1-4, uniform weights, the
-standard brevity penalty and no smoothing: a zero corpus-wide match count
-at any order gives BLEU 0. Entity F1 is micro-averaged over the manifest
-against a KB-derived entity lexicon. Accuracy is exact string match after
-lowercasing and whitespace-run collapsing.
+scored. Each is a closed function of integer sums: one walk over the
+manifest gives every dialog a `ROW` of counts (BLEU n-gram matches and
+totals for orders 1-4 and the predicted and gold lengths; entity tp, fp and
+fn; responses, correct responses, and whether every response is correct),
+and `finalize` turns the sum of any rows into the four floats, so the sums
+over a partition of the dialogs add up to the aggregate. BLEU is
+corpus-level with uniform weights, the standard brevity penalty and no
+smoothing: a zero match count at any order gives BLEU 0. Entity F1 is
+micro-averaged against a KB-derived entity lexicon. A response is correct
+when it tokenizes as its gold after lowercasing. Corpus dialogs with no
+manifest entry have no row; per-dialog accuracy counts them as correct.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
+from .babi import ParseError, decode_utf8
 from .manifest import EvalManifest, PredictionSet
 from .model import DialogCorpus, entities_in
 
@@ -67,128 +76,116 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _check_aligned(preds: PredictionSet, manifest: EvalManifest) -> None:
-    if preds.manifest_digest != manifest.digest():
-        raise MetricError("predictions are not aligned to this manifest (digest mismatch)")
+#: Fields of a per-dialog stats row, in order.
+ROW = ("match1", "match2", "match3", "match4", "total1", "total2", "total3", "total4",
+       "pred_len", "gold_len", "tp", "fp", "fn", "responses", "correct", "dialogs", "ok_dialogs")
+_PRED_LEN, _GOLD_LEN, _TP, _FP, _FN, _RESPONSES, _CORRECT, _DIALOGS, _OK_DIALOGS = range(8, len(ROW))
 
 
-def _tokens(text: str) -> list[str]:
-    return text.lower().split()
+def dialog_stats(preds: PredictionSet, manifest: EvalManifest,
+                 lexicon_of: Callable[[str], frozenset[str] | None] | None = None) -> dict[str, list[int]]:
+    """Dialog id -> its `ROW`, in manifest first-appearance order.
 
-
-def corpus_bleu(preds: PredictionSet, manifest: EvalManifest) -> float:
-    """Corpus BLEU, orders 1-4, uniform weights, no smoothing, in [0, 100].
-
-    Each entry's n-grams of order n+1 are `zip`ped from those of order n,
-    and the clipped match count is a multiset intersection; an entry whose
-    prediction tokenizes as its gold adds max(0, len - n + 1) to order n's
-    matches and totals without counting.
+    Entities are matched against `lexicon_of(dialog_id)`; with no lexicon,
+    tp, fp and fn stay 0. Order n+1 n-grams are `zip`ped from order n, and
+    a prediction that tokenizes as its gold matches all its n-grams.
     """
-    _check_aligned(preds, manifest)
-    matches = [0] * 4
-    totals = [0] * 4
-    pred_len = 0
-    gold_len = 0
+    if preds.manifest_digest != manifest.digest() or len(preds.responses) != len(manifest.entries):
+        raise MetricError("predictions are not aligned to this manifest (digest or count mismatch)")
+    rows: dict[str, list[int]] = {}
     for pred, entry in zip(preds.responses, manifest.entries):
-        p = _tokens(pred)
-        g = _tokens(entry.gold_text)
-        pred_len += len(p)
-        gold_len += len(g)
-        if p == g:  # every n-gram of the prediction is matched by itself
+        row = rows.get(entry.dialog_id)
+        if row is None:
+            row = rows[entry.dialog_id] = [0] * len(ROW)
+            row[_DIALOGS] = row[_OK_DIALOGS] = 1
+        p = pred.lower().split()
+        g = entry.gold_text.lower().split()
+        row[_PRED_LEN] += len(p)
+        row[_GOLD_LEN] += len(g)
+        row[_RESPONSES] += 1
+        if p == g:
+            row[_CORRECT] += 1
             for n in range(min(4, len(p))):
-                matches[n] += len(p) - n
-                totals[n] += len(p) - n
-            continue
-        pgrams, ggrams = p, g
-        for n in range(4):
-            if n:
-                pgrams = list(zip(pgrams, p[n:]))
-                ggrams = list(zip(ggrams, g[n:]))
-            totals[n] += len(pgrams)
-            matches[n] += sum((Counter(pgrams) & Counter(ggrams)).values())
-    if pred_len == 0 or any(m == 0 for m in matches):
-        return 0.0
-    log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / 4
-    bp = 1.0 if pred_len > gold_len else math.exp(1 - gold_len / pred_len)
-    return 100.0 * bp * math.exp(log_precision)
+                row[n] += len(p) - n
+                row[4 + n] += len(p) - n
+        else:
+            row[_OK_DIALOGS] = 0
+            pgrams, ggrams = p, g
+            for n in range(4):
+                if n:
+                    pgrams = list(zip(pgrams, p[n:]))
+                    ggrams = list(zip(ggrams, g[n:]))
+                row[4 + n] += len(pgrams)
+                row[n] += sum((Counter(pgrams) & Counter(ggrams)).values())
+        lexicon = lexicon_of(entry.dialog_id) if lexicon_of else None
+        if lexicon:
+            gold_set = entities_in(entry.gold_text, lexicon)
+            pred_set = entities_in(pred, lexicon)
+            tp = len(gold_set & pred_set)
+            row[_TP] += tp
+            row[_FP] += len(pred_set) - tp
+            row[_FN] += len(gold_set) - tp
+    return rows
 
 
-def entity_f1(preds: PredictionSet, manifest: EvalManifest, corpus: DialogCorpus,
-              scope: str = "global", warn=None) -> float:
-    """Micro-averaged F1 between entity sets of gold and predicted responses.
+def finalize(rows: Iterable[list[int]], n_dialogs: int = 0) -> tuple[float, float, float, float]:
+    """(BLEU in [0, 100], entity F1, per-response, per-dialog accuracy) of
+    summed rows; up to `n_dialogs`, dialogs without a row count as correct."""
+    total = [sum(column) for column in zip(*rows)] or [0] * len(ROW)
+    matches, totals = total[:4], total[4:8]
+    pred_len, gold_len, tp, fp, fn, responses, correct, dialogs, ok_dialogs = total[8:]
+    bleu = 0.0
+    if pred_len and 0 not in matches:
+        log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / 4
+        bp = 1.0 if pred_len > gold_len else math.exp(1 - gold_len / pred_len)
+        bleu = 100.0 * bp * math.exp(log_precision)
+    f1 = 2 * tp / (2 * tp + fp + fn) if tp or fn else 0.0
+    denom = max(n_dialogs, dialogs)
+    per_dialog = (ok_dialogs + denom - dialogs) / denom if denom else 1.0
+    return bleu, f1, correct / responses if responses else 1.0, per_dialog
 
-    scope "global" matches against the corpus-wide entity lexicon; scope
-    "dialog" restricts each entry to its own dialog's KB entities. Entries
-    whose gold response has no entity contribute false positives only.
-    """
-    _check_aligned(preds, manifest)
+
+def _entity_stats(preds: PredictionSet, manifest: EvalManifest, corpus: DialogCorpus,
+                  scope: str) -> Iterable[list[int]]:
+    """Stats rows against the corpus-wide lexicon (scope "global") or each
+    dialog's own KB entities ("dialog"); warns when no gold entity is found."""
     if scope not in ("global", "dialog"):
         raise MetricError(f"unknown entity scope {scope!r}")
     if scope == "global" and not corpus.global_entities:
         raise MetricError("empty entity lexicon")
-    if scope == "dialog":
-        lexicons = {d.id: d.entity_lexicon() for d in corpus.dialogs}
-    tp = fp = fn = 0
-    for pred, entry in zip(preds.responses, manifest.entries):
-        lexicon = corpus.global_entities if scope == "global" else lexicons.get(entry.dialog_id)
-        if not lexicon:
-            continue
-        gold_set = entities_in(entry.gold_text, lexicon)
-        pred_set = entities_in(pred, lexicon)
-        if gold_set:
-            tp += len(gold_set & pred_set)
-            fp += len(pred_set - gold_set)
-            fn += len(gold_set - pred_set)
-        else:
-            fp += len(pred_set)
-    if tp == 0 and fn == 0:
-        (warn or (lambda m: print(m, file=sys.stderr)))(
-            "warning: no scoreable entities in any gold response; entity F1 = 0"
-        )
-        return 0.0
-    return 2 * tp / (2 * tp + fp + fn)
+    lexicon_of = ({d.id: d.entity_lexicon() for d in corpus.dialogs}.get if scope == "dialog"
+                  else lambda _: corpus.global_entities)
+    rows = dialog_stats(preds, manifest, lexicon_of).values()
+    if not any(r[_TP] or r[_FN] for r in rows):
+        print("warning: no scoreable entities in any gold response; entity F1 = 0", file=sys.stderr)
+    return rows
 
 
-def _norm_exact(text: str) -> str:
-    return " ".join(text.lower().split())
+def corpus_bleu(preds: PredictionSet, manifest: EvalManifest) -> float:
+    """Corpus BLEU, orders 1-4, uniform weights, no smoothing, in [0, 100]."""
+    return finalize(dialog_stats(preds, manifest).values())[0]
+
+
+def entity_f1(preds: PredictionSet, manifest: EvalManifest, corpus: DialogCorpus,
+              scope: str = "global") -> float:
+    """Micro-averaged F1 between entity sets of gold and predicted responses.
+    Entries whose gold response has no entity contribute false positives only."""
+    return finalize(_entity_stats(preds, manifest, corpus, scope))[1]
 
 
 def response_accuracy(preds: PredictionSet, manifest: EvalManifest,
                       n_dialogs: int | None = None) -> tuple[float, float]:
-    """(per-response, per-dialog) exact-match accuracy.
-
-    Per-dialog counts a dialog correct when every one of its manifest
-    entries matches; when `n_dialogs` exceeds the dialogs present in the
-    manifest, the extra (response-free) dialogs count as correct.
-    Per-dialog accuracy may exceed per-response accuracy when dialogs
-    differ in length (one wrong response fails a long dialog while short
-    dialogs pass); each failed dialog holds at least one wrong response,
-    and both accuracies are 1.0 together or not at all.
-    """
-    _check_aligned(preds, manifest)
-    total = len(manifest.entries)
-    correct = 0
-    dialog_ok: dict[str, bool] = {}
-    for pred, entry in zip(preds.responses, manifest.entries):
-        ok = _norm_exact(pred) == _norm_exact(entry.gold_text)
-        correct += ok
-        dialog_ok[entry.dialog_id] = dialog_ok.get(entry.dialog_id, True) and ok
-    in_manifest = len(dialog_ok)
-    denom = max(n_dialogs or in_manifest, in_manifest)
-    ok_dialogs = sum(dialog_ok.values()) + (denom - in_manifest)
-    per_response = correct / total if total else 1.0
-    per_dialog = ok_dialogs / denom if denom else 1.0
-    return per_response, per_dialog
+    """(per-response, per-dialog) exact-match accuracy. Per-dialog accuracy
+    may exceed per-response accuracy when dialogs differ in length (one wrong
+    response fails a long dialog while short dialogs pass); each failed dialog
+    holds at least one wrong response, and both are 1.0 together or not at all."""
+    return finalize(dialog_stats(preds, manifest).values(), n_dialogs or 0)[2:]
 
 
 def evaluate(preds: PredictionSet, manifest: EvalManifest, corpus: DialogCorpus,
              scope: str = "global", checksums: tuple[tuple[str, str], ...] = ()) -> EvalReport:
-    per_response, per_dialog = response_accuracy(preds, manifest, len(corpus.dialogs))
     return EvalReport(
-        bleu=corpus_bleu(preds, manifest),
-        entity_f1=entity_f1(preds, manifest, corpus, scope),
-        per_response_acc=per_response,
-        per_dialog_acc=per_dialog,
+        *finalize(_entity_stats(preds, manifest, corpus, scope), len(corpus.dialogs)),
         n_responses=len(manifest.entries),
         n_dialogs=len(corpus.dialogs),
         corpus_tag=manifest.corpus_tag,
@@ -215,13 +212,30 @@ class MetricDelta:
         return (self.original - self.updated) / self.original * 100.0
 
 
+_METRICS = ("bleu", "entity_f1", "per_response_acc", "per_dialog_acc")
+
+
+def read_report(data: bytes) -> dict:
+    """A report JSON as `eval --output` writes it; its metric fields are
+    finite numbers or null."""
+    text = decode_utf8(data, "report")
+    try:
+        report = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"report is not JSON: {e}") from e
+    if not isinstance(report, dict):
+        raise ParseError("report is not a JSON object")
+    for key in _METRICS:
+        value = report.get(key)
+        if value is not None and (type(value) not in (int, float) or not abs(value) <= sys.float_info.max):
+            raise ParseError(f"report field {key!r} is not a finite number")
+    return report
+
+
 def compare(original: dict, updated: dict) -> list[MetricDelta]:
     """Side-by-side deltas for the metric fields both reports carry."""
-    deltas = []
-    for key in ("bleu", "entity_f1", "per_response_acc", "per_dialog_acc"):
-        if key in original and key in updated and original[key] is not None and updated[key] is not None:
-            deltas.append(MetricDelta(key, float(original[key]), float(updated[key])))
-    return deltas
+    return [MetricDelta(key, float(original[key]), float(updated[key])) for key in _METRICS
+            if original.get(key) is not None and updated.get(key) is not None]
 
 
 def render_comparison(deltas: list[MetricDelta]) -> str:

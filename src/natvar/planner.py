@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .model import Dialog, DialogCorpus, content_digest
 from .recipes import (
     RECIPES,
     Anchor,
-    AnchorKind,
     PATTERN_ORDER,
     find_anchors,
     inject,
+    insert_position,
     keyed_rng,
     patterns_for_dataset,
 )
@@ -59,16 +59,16 @@ class PlanConfig:
     targets: dict[str, int]
     seed: int = 0
     max_patterns_per_dialog: int = 4
-    pattern_order: tuple[str, ...] = PATTERN_ORDER
     histogram_targets: tuple[int, ...] | None = None
     allow_shortfall: bool = False
+    # Not a field: `plan` always assigns in this order. perfbench/traced.py reads it.
+    pattern_order = PATTERN_ORDER
 
     def to_dict(self) -> dict:
         return {
             "targets": dict(self.targets),
             "seed": self.seed,
             "max_patterns_per_dialog": self.max_patterns_per_dialog,
-            "pattern_order": list(self.pattern_order),
             "histogram_targets": list(self.histogram_targets) if self.histogram_targets else None,
             "allow_shortfall": self.allow_shortfall,
         }
@@ -120,14 +120,21 @@ def preset_config(name: str, seed: int = 0, allow_shortfall: bool = False) -> Pl
 
 
 def config_from_dict(d: dict) -> PlanConfig:
-    return PlanConfig(
+    unknown = sorted(set(d) - {f.name for f in fields(PlanConfig)})
+    if unknown:
+        raise PlanError(f"unknown config key {unknown[0]!r}")
+    cfg = PlanConfig(
         targets={str(k): int(v) for k, v in d["targets"].items()},
         seed=int(d.get("seed", 0)),
         max_patterns_per_dialog=int(d.get("max_patterns_per_dialog", 4)),
-        pattern_order=tuple(str(p) for p in d.get("pattern_order", PATTERN_ORDER)),
         histogram_targets=tuple(int(n) for n in d["histogram_targets"]) if d.get("histogram_targets") else None,
         allow_shortfall=bool(d.get("allow_shortfall", False)),
     )
+    if any(n < 0 for n in (*cfg.targets.values(), *(cfg.histogram_targets or ()))):
+        raise PlanError("targets and histogram_targets must not be negative")
+    if cfg.max_patterns_per_dialog < 1:
+        raise PlanError("max_patterns_per_dialog must be at least 1")
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -210,7 +217,7 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
         if name not in valid:
             raise PlanError(f"pattern not applicable to {dataset}: {name}")
 
-    order = [p for p in cfg.pattern_order if cfg.targets.get(p, 0) > 0]
+    order = [p for p in PATTERN_ORDER if cfg.targets.get(p, 0) > 0]
     dialog_pos = {d.id: i for i, d in enumerate(corpus.dialogs)}
     anchors: dict[tuple[str, str], list[Anchor]] = {}
     eligible: dict[str, list[str]] = {}
@@ -281,7 +288,7 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
             count[did] += 1
 
     # Emit in stable order: pattern priority, then corpus order.
-    pattern_rank = {p: i for i, p in enumerate(cfg.pattern_order)}
+    pattern_rank = {p: i for i, p in enumerate(PATTERN_ORDER)}
     assignments.sort(key=lambda a: (pattern_rank[a.pattern], dialog_pos[a.dialog_id]))
     return InjectionPlan(
         assignments=tuple(assignments),
@@ -353,8 +360,8 @@ def execute(corpus: DialogCorpus, pln: InjectionPlan) -> DialogCorpus:
                 raise PlanMismatchError(f"plan/corpus mismatch: anchor {t} out of range in {d.id}")
             curr = orig_to_curr[t] if t < len(orig_to_curr) else len(out.turns)
             rebased = Anchor(a.anchor.dialog_id, curr, a.anchor.bound)
+            insert_at = insert_position(recipe, out, rebased)
             out = inject(out, recipe, rebased, pln.seed)
-            insert_at = curr + 1 if recipe.anchor_kind is AnchorKind.AFTER_AGENT_TURN else curr
             k = recipe.added_turn_count
             orig_to_curr = [x + k if x >= insert_at else x for x in orig_to_curr]
         return out

@@ -422,16 +422,6 @@ _FINDERS = {
 
 # --- realization and splicing --------------------------------------------
 
-def realize(recipe: PatternRecipe, action: str, domain: str,
-            bound: dict[str, str], draw: int) -> str:
-    """Surface string for one template action with all slots substituted.
-
-    `draw` selects the variant, modulo the variant count.
-    """
-    forms = variants(recipe.name, action, domain)
-    return _fill(forms[draw % len(forms)], bound)
-
-
 def _fill(form: str, bound: dict[str, str]) -> str:
     try:
         return form.format_map(bound)
@@ -439,7 +429,8 @@ def _fill(form: str, bound: dict[str, str]) -> str:
         raise InjectionError(f"unresolvable realization slot {e.args[0]!r}") from e
 
 
-def _insert_position(recipe: PatternRecipe, d: Dialog, a: Anchor) -> int:
+def insert_position(recipe: PatternRecipe, d: Dialog, a: Anchor) -> int:
+    """Index in `d.turns` where `inject` splices the recipe's block."""
     if a.turn_index < 0 or a.turn_index > len(d.turns):
         raise InjectionError(f"anchor index {a.turn_index} out of range for {d.id}")
     kind = recipe.anchor_kind
@@ -473,7 +464,7 @@ def inject(d: Dialog, recipe: PatternRecipe, a: Anchor, seed: int) -> Dialog:
         raise InjectionError(f"anchor belongs to {a.dialog_id}, not {d.id}")
     if recipe.name in d.applied_patterns:
         raise InjectionError(f"pattern already applied at anchor: {recipe.name} in {d.id}")
-    pos = _insert_position(recipe, d, a)
+    pos = insert_position(recipe, d, a)
 
     block_first = recipe.template[0].speaker
     block_last = recipe.template[-1].speaker

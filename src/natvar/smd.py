@@ -51,7 +51,7 @@ def parse_smd(data: bytes) -> DialogCorpus:
     """Parse an SMD JSON file into a corpus."""
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
         raise ParseError(f"not valid SMD JSON: {e}") from e
     if not isinstance(doc, list):
         raise ParseError("SMD file must be a JSON array of dialogues")

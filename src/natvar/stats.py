@@ -30,20 +30,6 @@ class CorpusStats:
     checksum: str
     notes: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "source_format": self.source_format,
-            "n_dialogs": self.n_dialogs,
-            "n_utterances": self.n_utterances,
-            "mean_utterances": self.mean_utterances,
-            "n_updated": self.n_updated,
-            "pattern_counts": dict(self.pattern_counts),
-            "histogram": {f">={k}": v for k, v in self.histogram},
-            "lexicon_size": self.lexicon_size,
-            "checksum": self.checksum,
-            "notes": list(self.notes),
-        }
-
 
 def corpus_stats(corpus: DialogCorpus) -> CorpusStats:
     counts = {p: 0 for p in patterns_for_dataset(corpus.source_format)}

@@ -3,6 +3,7 @@ stderr and the code the module docstring assigns, never a traceback."""
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from natvar import cli
 from natvar.babi import serialize_origin_sidecar
 from natvar.io import load_corpus, parse_corpus, serialize_corpus
-from natvar.manifest import export_manifest, serialize_manifest
+from natvar.manifest import export_manifest, read_predictions, serialize_manifest
+from natvar.metrics import evaluate
 from natvar.planner import PlanError, PlanMismatchError, config_from_dict, execute, plan
 from natvar.synthetic import make_babi_bytes, make_smd_bytes
 
@@ -33,7 +35,12 @@ def smd_file(tmp_path):
 @pytest.mark.parametrize("config", [b"{not json", b"[1, 2]", b'{"seed": 1}',
                                     b'{"targets": {"example_request": "many"}}', b"\xff\xfe",
                                     b'{"targets": {"example_request": 1e999}}',
-                                    b'{"targets": {}, "histogram_targets": [1, null]}'])
+                                    b'{"targets": {}, "histogram_targets": [1, null]}',
+                                    b'{"targets": {"other_correction": -3}}',
+                                    b'{"targets": {}, "histogram_targets": [1, -1]}',
+                                    b'{"targets": {}, "pattern_order": []}',
+                                    b'{"targets": {}, "max_patterns_per_dialog": 0}',
+                                    pytest.param(b"[" * 100_000, id="deep-nesting")])
 def test_bad_config_is_a_configuration_error(capsys, tmp_path, smd_file, config):
     path = tmp_path / "config.json"
     path.write_bytes(config)
@@ -56,6 +63,14 @@ def test_non_utf8_babi_corpus_is_a_parse_error(capsys, tmp_path):
     code, lines = _run(capsys, ["stats", "--input", path, "--format", "babi"])
     assert code == 2
     assert lines == ["error: bAbI file is not valid UTF-8 at byte 8"]
+
+
+def test_deeply_nested_smd_corpus_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_bytes(b"[" * 100_000)
+    code, lines = _run(capsys, ["stats", "--input", path, "--format", "smd"])
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: not valid SMD JSON")
 
 
 def test_bad_sidecar_index_is_a_parse_error(capsys, tmp_path):
@@ -110,6 +125,32 @@ def test_bad_manifest_is_a_parse_error(capsys, tmp_path, smd_file, manifest):
     assert len(lines) == 1 and "manifest" in lines[0]
 
 
+@pytest.mark.parametrize("report", [b"\xff{}", b"not json", b"5", b'{"bleu": "x"}',
+                                    b'{"entity_f1": 1' + b"0" * 400 + b"}", b"[" * 100_000],
+                         ids=["utf8", "json", "non-object", "non-numeric", "overflow", "nesting"])
+def test_bad_compare_report_is_a_parse_error(capsys, tmp_path, report):
+    corpus = parse_corpus(make_smd_bytes(n_dialogs=2), "smd")
+    manifest = export_manifest(corpus)
+    (tmp_path / "c.json").write_bytes(corpus.source_bytes)
+    (tmp_path / "m.tsv").write_bytes(serialize_manifest(manifest))
+    (tmp_path / "p.txt").write_bytes("".join(f"{e.gold_text}\n" for e in manifest.entries).encode())
+    (tmp_path / "orig.report.json").write_bytes(report)
+    code, lines = _run(capsys, ["eval", "--predictions", tmp_path / "p.txt", "--manifest",
+                                tmp_path / "m.tsv", "--corpus", tmp_path / "c.json", "--format",
+                                "smd", "--compare", tmp_path / "orig.report.json",
+                                "--output", tmp_path / "upd"])
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: report ")
+
+
+def test_non_utf8_candidate_file_is_a_parse_error(capsys, tmp_path, smd_file):
+    (tmp_path / "cands.txt").write_bytes(b"\xff\xfe abc\n")
+    code, lines = _run(capsys, ["baseline", "--corpus", smd_file, "--format", "smd",
+                                "--candidates", tmp_path / "cands.txt", "--out", tmp_path / "p.txt"])
+    assert code == 2
+    assert lines == ["error: candidate file is not valid UTF-8 at byte 0"]
+
+
 @pytest.mark.parametrize("error, code", [(PlanMismatchError("plan/corpus mismatch"), 2),
                                          (PlanError("bad target"), 1)])
 def test_plan_errors_map_by_type(capsys, monkeypatch, error, code):
@@ -131,10 +172,15 @@ def fuzz_seeds():
         updated = execute(corpus, plan(corpus, config_from_dict(
             {"targets": {"open_request_screening": 1}})))
         manifest = export_manifest(updated)
+        golds = "".join(f"{e.gold_text}\n" for e in manifest.entries).encode()
+        preds = read_predictions(golds, manifest)
         seeds[fmt] = {
             "corpus": serialize_corpus(updated),
             "manifest": serialize_manifest(manifest),
-            "predictions": "".join(f"{e.gold_text}\n" for e in manifest.entries).encode(),
+            "predictions": golds,
+            "candidates": "".join(f"{i} {e.gold_text}\n"
+                                  for i, e in enumerate(manifest.entries, 1)).encode(),
+            "compare": json.dumps(evaluate(preds, manifest, updated).to_dict()).encode(),
             "config": b'{"targets": {"open_request_screening": 1}, "seed": 3, '
                       b'"max_patterns_per_dialog": 2, "histogram_targets": [1, 0]}',
         }
@@ -160,13 +206,16 @@ def test_arbitrary_input_files_exit_cleanly(tmp_path_factory, fuzz_seeds, data):
     corpus.write_bytes(files["corpus"])
     if "sidecar" in files:
         (work / "corpus.origin").write_bytes(files["sidecar"])
-    for name in ("manifest", "predictions", "config"):
+    for name in ("manifest", "predictions", "candidates", "compare", "config"):
         (work / name).write_bytes(files[name])
     for argv in (["stats", "--input", corpus, "--format", fmt],
                  ["inject", "--input", corpus, "--format", fmt, "--config", work / "config",
                   "--output", work / "out"],
                  ["eval", "--predictions", work / "predictions", "--manifest", work / "manifest",
-                  "--corpus", corpus, "--format", fmt, "--output", work / "eval"]):
+                  "--corpus", corpus, "--format", fmt, "--compare", work / "compare",
+                  "--output", work / "eval"],
+                 ["baseline", "--corpus", corpus, "--format", fmt, "--candidates",
+                  work / "candidates", "--manifest", work / "manifest", "--out", work / "preds"]):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main([str(a) for a in argv])

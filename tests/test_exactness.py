@@ -1,10 +1,12 @@
-"""The text hot paths against the straightforward code they replaced.
+"""The text hot paths and the metrics against the straightforward code they
+replaced.
 
 Each reference below is the earlier implementation, kept verbatim in
 behaviour: the entity matcher that joins up to `max_span` tokens at every
-start, the regular-expression entity normalizer, and corpus BLEU with one
-`Counter` per order built from slices. The library forms must return the
-same values, compared with `==`.
+start, the regular-expression entity normalizer, corpus BLEU with one
+`Counter` per order built from slices, and the separate manifest walks of
+entity F1 and response accuracy. The library forms must return the same
+values, compared with `==`.
 """
 
 import math
@@ -16,8 +18,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from natvar.manifest import EvalManifest, ManifestEntry, PredictionSet
-from natvar.metrics import corpus_bleu
-from natvar.model import Lexicon, ModelError, entity_spans, normalize_entity
+from natvar.metrics import (
+    ROW,
+    corpus_bleu,
+    dialog_stats,
+    entity_f1,
+    evaluate,
+    finalize,
+    response_accuracy,
+)
+from natvar.model import (
+    Dialog,
+    DialogCorpus,
+    KbRecord,
+    Lexicon,
+    ModelError,
+    Speaker,
+    Turn,
+    entities_in,
+    entity_spans,
+    normalize_entity,
+)
 
 
 def reference_entity_spans(text, lexicon):
@@ -77,6 +98,43 @@ def reference_corpus_bleu(pred_sents, gold_sents):
     log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / 4
     bp = 1.0 if pred_len > gold_len else math.exp(1 - gold_len / pred_len)
     return 100.0 * bp * math.exp(log_precision)
+
+
+def reference_entity_f1(pred_sents, manifest, corpus, scope):
+    lexicons = {d.id: d.entity_lexicon() for d in corpus.dialogs}
+    tp = fp = fn = 0
+    for pred, entry in zip(pred_sents, manifest.entries):
+        lexicon = corpus.global_entities if scope == "global" else lexicons.get(entry.dialog_id)
+        if not lexicon:
+            continue
+        gold_set = entities_in(entry.gold_text, lexicon)
+        pred_set = entities_in(pred, lexicon)
+        if gold_set:
+            tp += len(gold_set & pred_set)
+            fp += len(pred_set - gold_set)
+            fn += len(gold_set - pred_set)
+        else:
+            fp += len(pred_set)
+    if tp == 0 and fn == 0:
+        return 0.0
+    return 2 * tp / (2 * tp + fp + fn)
+
+
+def reference_response_accuracy(pred_sents, manifest, n_dialogs=None):
+    def norm(text):
+        return " ".join(text.lower().split())
+
+    total = len(manifest.entries)
+    correct = 0
+    dialog_ok = {}
+    for pred, entry in zip(pred_sents, manifest.entries):
+        ok = norm(pred) == norm(entry.gold_text)
+        correct += ok
+        dialog_ok[entry.dialog_id] = dialog_ok.get(entry.dialog_id, True) and ok
+    in_manifest = len(dialog_ok)
+    denom = max(n_dialogs or in_manifest, in_manifest)
+    ok_dialogs = sum(dialog_ok.values()) + (denom - in_manifest)
+    return (correct / total if total else 1.0), (ok_dialogs / denom if denom else 1.0)
 
 
 # --- entity spans ---------------------------------------------------------------
@@ -161,3 +219,72 @@ class TestCorpusBleuExact:
     def test_same_as_counter_form(self, pair):
         preds, golds = pair
         assert _bleu(preds, golds) == reference_corpus_bleu(preds, golds)
+
+
+# --- the shared metric walk -----------------------------------------------------
+
+_ENTITIES = ["a", "b", "x_y"]
+_METRIC_WORDS = ["a", "b", "x", "y", "A", "c", "b."]
+_metric_sentences = st.lists(st.sampled_from(_METRIC_WORDS), max_size=6).map(" ".join)
+
+
+@st.composite
+def _evaluations(draw):
+    """(corpus, manifest, predictions): dialogs d0-d3 with KB lexicons, some
+    empty; manifest entries may name d4-d5, which the corpus lacks."""
+    dialogs = []
+    for i in range(draw(st.integers(1, 4))):
+        kb = draw(st.sets(st.sampled_from(_ENTITIES)))
+        dialogs.append(Dialog(id=f"d{i}", domain="navigate",
+                              turns=(Turn(Speaker.USER, "hi"), Turn(Speaker.AGENT, "ok")),
+                              kb=KbRecord(entries=tuple((e, "is", e) for e in sorted(kb)))))
+    corpus = DialogCorpus(dialogs=tuple(dialogs), source_format="smd",
+                          global_entities=frozenset(draw(st.sets(st.sampled_from(_ENTITIES),
+                                                                 min_size=1))))
+    rows = draw(st.lists(st.tuples(st.integers(0, 5), _metric_sentences), max_size=10))
+    manifest = EvalManifest(tuple(ManifestEntry(f"d{d}", 1, g) for d, g in rows), "t")
+    preds = [g if draw(st.booleans()) else draw(st.sampled_from(["", draw(_metric_sentences)]))
+             for _, g in rows]
+    return corpus, manifest, preds
+
+
+class TestMetricWalkExact:
+    @settings(max_examples=150, deadline=None)
+    @given(_evaluations(), st.sampled_from(["global", "dialog"]), st.integers(0, 8))
+    @example((DialogCorpus(dialogs=(), source_format="smd", global_entities=frozenset({"a"})),
+              EvalManifest((), "t"), []), "global", 3)
+    def test_same_as_separate_walks(self, evaluation, scope, n_dialogs):
+        corpus, manifest, preds = evaluation
+        ps = PredictionSet(tuple(preds), manifest.digest())
+        golds = [e.gold_text for e in manifest.entries]
+        bleu = reference_corpus_bleu(preds, golds)
+        f1 = reference_entity_f1(preds, manifest, corpus, scope)
+        assert corpus_bleu(ps, manifest) == bleu
+        assert entity_f1(ps, manifest, corpus, scope) == f1
+        for n in (None, n_dialogs):
+            assert response_accuracy(ps, manifest, n) == reference_response_accuracy(
+                preds, manifest, n)
+        report = evaluate(ps, manifest, corpus, scope)
+        assert (report.bleu, report.entity_f1, report.per_response_acc, report.per_dialog_acc) \
+            == (bleu, f1, *reference_response_accuracy(preds, manifest, len(corpus.dialogs)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_evaluations(), st.lists(st.integers(0, 2), min_size=6, max_size=6))
+    def test_partition_rows_sum_to_the_aggregate(self, evaluation, part_of):
+        corpus, manifest, preds = evaluation
+        ps = PredictionSet(tuple(preds), manifest.digest())
+        lexicon_of = lambda did: corpus.global_entities
+        rows = dialog_stats(ps, manifest, lexicon_of)
+        sums = []
+        for k in range(3):
+            keep = [i for i, e in enumerate(manifest.entries) if part_of[int(e.dialog_id[1:])] == k]
+            part = EvalManifest(tuple(manifest.entries[i] for i in keep), "t")
+            part_rows = dialog_stats(PredictionSet(tuple(preds[i] for i in keep), part.digest()),
+                                     part, lexicon_of)
+            # A dialog's row does not depend on the other dialogs' entries.
+            assert part_rows == {did: r for did, r in rows.items()
+                                 if part_of[int(did[1:])] == k}
+            sums.append([sum(column) for column in zip(*part_rows.values())] or [0] * len(ROW))
+        total = [sum(column) for column in zip(*rows.values())] or [0] * len(ROW)
+        assert [sum(column) for column in zip(*sums)] == total
+        assert finalize(sums) == finalize([total]) == finalize(rows.values())

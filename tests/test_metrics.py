@@ -136,7 +136,7 @@ def _f1(cases, lexicon, scope="global"):
     m = _manifest_for(golds)
     corpus = _corpus_with_lexicon(lexicon, n_dialogs=len(cases))
     preds = _preds_for(m, [p for _, p in cases])
-    return entity_f1(preds, m, corpus, scope, warn=lambda msg: None)
+    return entity_f1(preds, m, corpus, scope)
 
 
 LEX = {"a", "b", "c", "d", "x_y"}
@@ -173,15 +173,14 @@ class TestEntityF1:
     def test_hand_computed(self, cases, expected):
         assert _f1(cases, LEX) == pytest.approx(expected)
 
-    def test_degenerate_warns(self):
-        messages = []
+    def test_degenerate_warns(self, capsys):
         golds = ["no entities"]
         m = _manifest_for(golds)
         corpus = _corpus_with_lexicon(LEX)
         preds = _preds_for(m, ["none"])
-        got = entity_f1(preds, m, corpus, warn=messages.append)
+        got = entity_f1(preds, m, corpus)
         assert got == 0.0
-        assert any("no scoreable entities" in msg for msg in messages)
+        assert "no scoreable entities" in capsys.readouterr().err
 
     def test_empty_lexicon_rejected(self):
         m = _manifest_for(["a"])
@@ -209,8 +208,8 @@ class TestEntityF1:
         corpus = _corpus_with_lexicon({"a"})  # dialog KB only knows "a"
         preds = _preds_for(m, ["a b"])
         # global lexicon includes subj/attr but also only "a" among tokens
-        global_f1 = entity_f1(preds, m, corpus, "global", warn=lambda m_: None)
-        dialog_f1 = entity_f1(preds, m, corpus, "dialog", warn=lambda m_: None)
+        global_f1 = entity_f1(preds, m, corpus, "global")
+        dialog_f1 = entity_f1(preds, m, corpus, "dialog")
         assert global_f1 == dialog_f1 == 1.0
 
 

@@ -8,8 +8,8 @@ from natvar.recipes import (
     InjectionError,
     find_anchors,
     inject,
+    _fill,
     patterns_for_dataset,
-    realize,
 )
 from natvar.phrasebank import variants
 
@@ -169,30 +169,33 @@ class TestInject:
 
 
 class TestRealize:
+    """Surface forms: `inject` fills one of the bank's variants per action."""
+
     def test_detail_request_canonical(self):
-        got = realize(RECIPES["open_request_user_detail_request"], "DETAIL-REQUEST",
-                      "restaurant", {}, draw=0)
-        assert got == "What are my choices?"
+        form = variants("open_request_user_detail_request", "DETAIL-REQUEST", "restaurant")[0]
+        assert _fill(form, {}) == "What are my choices?"
 
     def test_recipient_correction_canonical(self):
-        got = realize(RECIPES["recipient_correction"], "CORRECTION", "navigate", {}, draw=0)
-        assert got == "I'm not talking to you."
+        form = variants("recipient_correction", "CORRECTION", "navigate")[0]
+        assert _fill(form, {}) == "I'm not talking to you."
 
     def test_not_helped_closer_paper_forms(self):
-        forms = {
-            realize(RECIPES["sequence_closer_not_helped"], "CLOSER", "weather", {}, draw=i)
-            for i in (0, 1)
-        }
-        assert forms == {"too bad", "oh well"}
+        assert set(variants("sequence_closer_not_helped", "CLOSER", "weather")[:2]) \
+            == {"too bad", "oh well"}
 
     def test_unsubstituted_slot_rejected(self):
+        form = variants("open_request_screening", "PRE-REQUEST", "weather")[0]
         with pytest.raises(InjectionError, match="intent"):
-            realize(RECIPES["open_request_screening"], "PRE-REQUEST", "weather", {}, draw=0)
+            _fill(form, {})
 
     def test_slots_substituted(self):
-        got = realize(RECIPES["open_request_screening"], "PRE-REQUEST", "weather",
-                      {"intent": "the weather"}, draw=0)
-        assert got == "Can you help me with the weather?"
+        d = _smd_dialog()
+        out = inject(d, RECIPES["open_request_screening"],
+                     Anchor(d.id, 0, (("intent", "the weather"),)), seed=0)
+        forms = variants("open_request_screening", "PRE-REQUEST", "navigate")
+        assert out.turns[0].text in {f.format(intent="the weather") for f in forms}
+        assert _fill(variants("open_request_screening", "PRE-REQUEST", "weather")[0],
+                     {"intent": "the weather"}) == "Can you help me with the weather?"
 
 
 _DOMAINS = {"babi": ("restaurant",), "smd": ("navigate", "weather", "schedule")}
