@@ -29,7 +29,7 @@ from .model import (
     Speaker,
     Turn,
     build_global_entities,
-    normalize_entity,
+    memo,
 )
 
 
@@ -87,13 +87,14 @@ def slot_for_question(text: str) -> str | None:
     return None
 
 
-def _api_args(agent_text: str) -> dict[str, str]:
+def _api_slots(agent_text: str) -> tuple[tuple[str, str], ...]:
+    """(`slot:<name>`, value) annotations of an api_call turn; () for any other."""
     if not agent_text.startswith("api_call "):
-        return {}
+        return ()
     args = agent_text.split()[1:]
     if len(args) != len(API_CALL_SLOTS):
-        return {}
-    return dict(zip(API_CALL_SLOTS, args))
+        return ()
+    return tuple((f"slot:{slot}", v) for slot, v in zip(API_CALL_SLOTS, args))
 
 
 def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus:
@@ -136,9 +137,8 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
 
 def _parse_block(block, dialog_id: str, injected_turns: dict[int, str]) -> Dialog:
     pairs: list[tuple[str, str]] = []
-    # (subject, attribute, value, turn index of the agent turn the fact precedes)
-    kb_flushes: list[tuple[str, str, str, int]] = []
-    pending_kb: list[tuple[str, str, str]] = []
+    # (subject, attribute, value, index of the utterance line the fact precedes)
+    facts: list[tuple[str, str, str, int]] = []
     prev_index = 0
 
     for lineno, line in block:
@@ -155,9 +155,6 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str]) -> Dialo
             user_text, _, agent_text = rest.partition("\t")
             if not user_text.strip() or not agent_text.strip():
                 raise ParseError(f"line {lineno}: empty utterance")
-            for subj, attr, val in pending_kb:
-                kb_flushes.append((subj, attr, val, 2 * len(pairs) + 1))
-            pending_kb.clear()
             pairs.append((user_text, agent_text))
         else:
             parts = rest.split()
@@ -166,10 +163,7 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str]) -> Dialo
                     f"line {lineno}: not an utterance line (no tab) and not a "
                     f"3-token KB fact: {line!r}"
                 )
-            pending_kb.append((parts[0], parts[1], parts[2]))
-
-    for subj, attr, val in pending_kb:
-        kb_flushes.append((subj, attr, val, 2 * len(pairs)))
+            facts.append((parts[0], parts[1], parts[2], len(pairs)))
 
     for i in injected_turns:
         if not 0 <= i < 2 * len(pairs):
@@ -178,50 +172,38 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str]) -> Dialo
 
     # Injected agent turns (a corrupted answer can look like an api_call)
     # contribute neither annotations nor api values.
-    agent_args = [{} if 2 * k + 1 in injected_turns else _api_args(agent_text)
-                  for k, (_, agent_text) in enumerate(pairs)]
+    agent_slots = [() if 2 * k + 1 in injected_turns else _api_slots(agent_text)
+                   for k, (_, agent_text) in enumerate(pairs)]
     api_values: dict[str, list[str]] = {}
-    for args in agent_args:
-        for slot, val in args.items():
-            api_values.setdefault(slot, []).append(val)
+    for slots in agent_slots:
+        for key, val in slots:
+            api_values.setdefault(key, []).append(val)
 
     turns: list[Turn] = []
+    # ordinals[k]: original agent turns before utterance line k. A fact is
+    # anchored by it, so injected agent turns do not shift the anchors.
+    ordinals = [0]
     for k, (user_text, agent_text) in enumerate(pairs):
-        # Slot annotations for original user turns come from the api_call
-        # argument values. Injected turns never carry derived annotations.
+        # Slot annotations for original user turns: per slot, the first
+        # api_call value the turn mentions. Injected turns get none.
         user_by = injected_turns.get(2 * k)
-        user_annotations: tuple[tuple[str, str], ...] = ()
+        user_annotations = []
         if user_by is None and api_values:
             toks = set(user_text.lower().split())
-            user_annotations = tuple(
-                (f"slot:{slot}", next(v for v in vals if v in toks))
-                for slot, vals in api_values.items()
-                if any(v in toks for v in vals)
-            )
-        turns.append(Turn(Speaker.USER, user_text, user_by, user_annotations))
-        turns.append(Turn(Speaker.AGENT, agent_text, injected_turns.get(2 * k + 1),
-                          tuple((f"slot:{slot}", v) for slot, v in agent_args[k].items())))
+            for key, vals in api_values.items():
+                for v in vals:
+                    if v in toks:
+                        user_annotations.append((key, v))
+                        break
+        agent_by = injected_turns.get(2 * k + 1)
+        turns.append(Turn(Speaker.USER, user_text, user_by, tuple(user_annotations)))
+        turns.append(Turn(Speaker.AGENT, agent_text, agent_by, agent_slots[k]))
+        ordinals.append(ordinals[-1] + (agent_by is None))
 
-    # Anchor each fact by the ordinal of the *original* agent turn it
-    # precedes; injected agent turns do not shift the anchors.
-    original_agents_before = []
-    count = 0
-    for t in turns:
-        original_agents_before.append(count)
-        if t.speaker is Speaker.AGENT and t.is_original:
-            count += 1
-    kb_rows = tuple(
-        (subj, attr, val,
-         original_agents_before[i] if i < len(turns) else count)
-        for subj, attr, val, i in kb_flushes
-    )
-
-    kb = KbRecord(
-        entries=tuple(
-            (normalize_entity(s), normalize_entity(a), normalize_entity(v))
-            for s, a, v, _ in kb_rows
-        )
-    )
+    kb_rows = tuple((subj, attr, val, ordinals[k]) for subj, attr, val, k in facts)
+    # Each fact component is one whitespace-free token, so lowercasing it is
+    # `normalize_entity`.
+    kb = KbRecord(entries=tuple((s.lower(), a.lower(), v.lower()) for s, a, v, _ in facts))
     return Dialog(
         id=dialog_id,
         domain="restaurant",
@@ -245,6 +227,7 @@ def serialize_babi(corpus: DialogCorpus) -> bytes:
     return ("\n\n".join(blocks) + "\n").encode("utf-8")
 
 
+@memo
 def _serialize_dialog(d: Dialog) -> str:
     if len(d.turns) % 2 != 0:
         raise ModelError(f"dialog {d.id}: bAbI requires an even number of turns")
@@ -306,8 +289,14 @@ def _parse_sidecar(data: bytes) -> dict[str, dict[int, str]]:
                     raise ParseError(f"sidecar line {lineno}: expected index=pattern, got {item!r}")
                 check_pattern_name(pattern, f"sidecar line {lineno}")
                 try:
-                    marks[int(pos)] = pattern
+                    i = int(pos)
                 except ValueError:
                     raise ParseError(f"sidecar line {lineno}: turn index {pos!r} is not an integer") from None
-        out[did.strip()] = marks
+                if i in marks:
+                    raise ParseError(f"sidecar line {lineno}: turn {i} is listed twice")
+                marks[i] = pattern
+        did = did.strip()
+        if did in out:
+            raise ParseError(f"sidecar line {lineno}: dialog {did} is listed twice")
+        out[did] = marks
     return out

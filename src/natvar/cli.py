@@ -22,7 +22,8 @@ from .babi import ParseError
 from .baseline import BaselineError, candidates_from_corpus, load_candidates, predict
 from .catalog import list_patterns
 from .io import load_corpus, save_corpus, serialize_corpus, sha256_hex
-from .manifest import export_manifest, parse_manifest, read_predictions, serialize_manifest
+from .manifest import (check_corpus, export_manifest, parse_manifest, read_predictions,
+                       serialize_manifest)
 from .metrics import MetricError, compare, evaluate, read_report, render_comparison
 from .model import ModelError, mean_utterances
 from .planner import (
@@ -253,6 +254,7 @@ def cmd_eval(args) -> int:
     corpus = load_corpus(args.corpus, args.format)
     manifest_bytes = Path(args.manifest).read_bytes()
     manifest = parse_manifest(manifest_bytes)
+    check_corpus(manifest, corpus)
     preds_bytes = Path(args.predictions).read_bytes()
     preds = read_predictions(preds_bytes, manifest)
     checksums = tuple((name, sha256_hex(data)) for name, data in (

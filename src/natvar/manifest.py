@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .babi import ParseError, decode_utf8
-from .model import DialogCorpus, Speaker, content_digest
+from .model import Dialog, DialogCorpus, Speaker, content_digest, memo
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,7 @@ class EvalManifest:
     entries: tuple[ManifestEntry, ...]
     corpus_tag: str
 
+    @memo
     def digest(self) -> str:
         return hashlib.sha256(serialize_manifest(self)).hexdigest()
 
@@ -45,10 +46,29 @@ def export_manifest(corpus: DialogCorpus) -> EvalManifest:
     """Original agent turns in corpus order; injected turns are masked out."""
     entries = []
     for d in corpus.dialogs:
-        for i, t in enumerate(d.turns):
-            if t.speaker is Speaker.AGENT and t.is_original:
-                entries.append(ManifestEntry(d.id, i, t.text))
+        entries.extend(_dialog_entries(d))
     return EvalManifest(entries=tuple(entries), corpus_tag=corpus_tag(corpus))
+
+
+@memo
+def _dialog_entries(d: Dialog) -> tuple[ManifestEntry, ...]:
+    return tuple(ManifestEntry(d.id, i, t.text) for i, t in enumerate(d.turns)
+                 if t.speaker is Speaker.AGENT and t.is_original)
+
+
+def check_corpus(m: EvalManifest, corpus: DialogCorpus) -> None:
+    """Raise ParseError unless every entry names a turn of `corpus` whose
+    text is the entry's gold response."""
+    by_id = corpus.dialog_by_id()
+    for e in m.entries:
+        d = by_id.get(e.dialog_id)
+        if d is None or not 0 <= e.turn_index < len(d.turns):
+            problem = "is not in the corpus"
+        elif d.turns[e.turn_index].text != e.gold_text:
+            problem = "does not match the corpus turn's text"
+        else:
+            continue
+        raise ParseError(f"manifest entry {e.dialog_id}@{e.turn_index} {problem}")
 
 
 def serialize_manifest(m: EvalManifest) -> bytes:

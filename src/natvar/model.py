@@ -13,6 +13,7 @@ between workers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,6 +29,23 @@ DOMAINS = ("schedule", "weather", "navigate", "restaurant")
 
 class ModelError(ValueError):
     """Invalid dialog structure or invalid operation input."""
+
+
+def memo(fn):
+    """`fn(obj)` for an immutable `obj` (a frozen dataclass), computed once and
+    kept in `obj.__dict__`: it dies with the object, and equality and hashing
+    still read the fields alone."""
+    key = f"_memo_{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def cached(obj):
+        try:
+            return obj.__dict__[key]
+        except KeyError:
+            out = obj.__dict__[key] = fn(obj)
+            return out
+
+    return cached
 
 
 def normalize_entity(s: str) -> str:
@@ -61,7 +79,13 @@ def _match_tokens(text: str) -> list[str]:
 
 def _prefixes(entities) -> frozenset[str]:
     """Every proper prefix of a member that ends just before one of its '_'."""
-    return frozenset(e[:k] for e in entities for k, c in enumerate(e) if c == "_")
+    out = set()
+    for e in entities:
+        prefix, *parts = e.split("_")
+        for part in parts:
+            out.add(prefix)
+            prefix += "_" + part
+    return frozenset(out)
 
 
 class Lexicon(frozenset):
@@ -278,6 +302,7 @@ def build_global_entities(dialogs: tuple[Dialog, ...], extra: set[str] = frozens
     return Lexicon(ents)
 
 
+@memo
 def content_digest(corpus: DialogCorpus) -> str:
     """Digest of the corpus content (turn texts, speakers, origins).
 
@@ -288,9 +313,10 @@ def content_digest(corpus: DialogCorpus) -> str:
 
     if corpus.source_bytes:
         return hashlib.sha256(corpus.source_bytes).hexdigest()
-    payload = "\x1e".join(
-        f"{d.id}|{d.domain}|"
-        + "\x1f".join(f"{t.speaker.value}:{t.injected_by or ''}:{t.text}" for t in d.turns)
-        for d in corpus.dialogs
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(b"\x1e".join(_digest_payload(d) for d in corpus.dialogs)).hexdigest()
+
+
+@memo
+def _digest_payload(d: Dialog) -> bytes:
+    return (f"{d.id}|{d.domain}|" + "\x1f".join(
+        f"{t.speaker.value}:{t.injected_by or ''}:{t.text}" for t in d.turns)).encode("utf-8")

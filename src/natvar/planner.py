@@ -27,10 +27,9 @@ from .recipes import (
     Anchor,
     PATTERN_ORDER,
     find_anchors,
-    inject,
-    insert_position,
     keyed_rng,
     patterns_for_dataset,
+    splice,
 )
 
 
@@ -283,7 +282,9 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
         chosen.sort(key=lambda did: dialog_pos[did])
         for did in chosen:
             options = anchors[(did, p)]
-            pick = keyed_rng(cfg.seed, did, p, "anchor-pick").randrange(len(options))
+            pick = 0  # randrange(1) is always 0: a lone anchor needs no generator
+            if len(options) > 1:
+                pick = keyed_rng(cfg.seed, did, p, "anchor-pick").randrange(len(options))
             assignments.append(Assignment(did, p, options[pick]))
             count[did] += 1
 
@@ -351,20 +352,20 @@ def execute(corpus: DialogCorpus, pln: InjectionPlan) -> DialogCorpus:
         todo = by_dialog.get(d.id)
         if not todo:
             return d
-        orig_to_curr = list(range(len(d.turns)))
-        out = d
+        turns = list(d.turns)  # spliced in plan order, as folding `inject` would
+        orig_to_curr = list(range(len(turns)))
         for a in todo:
             recipe = RECIPES[a.pattern]
             t = a.anchor.turn_index
             if t > len(orig_to_curr):
                 raise PlanMismatchError(f"plan/corpus mismatch: anchor {t} out of range in {d.id}")
-            curr = orig_to_curr[t] if t < len(orig_to_curr) else len(out.turns)
+            curr = orig_to_curr[t] if t < len(orig_to_curr) else len(turns)
             rebased = Anchor(a.anchor.dialog_id, curr, a.anchor.bound)
-            insert_at = insert_position(recipe, out, rebased)
-            out = inject(out, recipe, rebased, pln.seed)
+            insert_at = splice(turns, d, recipe, rebased, pln.seed)
             k = recipe.added_turn_count
             orig_to_curr = [x + k if x >= insert_at else x for x in orig_to_curr]
-        return out
+        return Dialog(id=d.id, domain=d.domain, turns=tuple(turns), kb=d.kb,
+                      source_info=d.source_info)
 
     return DialogCorpus(
         dialogs=tuple(apply_one(d) for d in corpus.dialogs),

@@ -260,9 +260,8 @@ def find_anchors(recipe: PatternRecipe, d: Dialog, seed: int = 0) -> list[Anchor
     dataset = "babi" if d.domain == "restaurant" else "smd"
     if dataset not in recipe.datasets or not d.turns:
         return []
-    rng = keyed_rng(seed, d.id, recipe.name, "anchors")
-    finder = _FINDERS[recipe.name]
-    return finder(d, rng)
+    rng = keyed_rng(seed, d.id, recipe.name, "anchors") if recipe.name in _DRAWING else None
+    return _FINDERS[recipe.name](d, rng)
 
 
 def _anchors_screening(d: Dialog, rng) -> list[Anchor]:
@@ -419,6 +418,9 @@ _FINDERS = {
     "recipient_correction": _anchors_recipient,
 }
 
+#: The finders that draw from their keyed generator; the others are given None.
+_DRAWING = frozenset({"example_request", "misunderstanding_report", "other_correction"})
+
 
 # --- realization and splicing --------------------------------------------
 
@@ -429,51 +431,44 @@ def _fill(form: str, bound: dict[str, str]) -> str:
         raise InjectionError(f"unresolvable realization slot {e.args[0]!r}") from e
 
 
-def insert_position(recipe: PatternRecipe, d: Dialog, a: Anchor) -> int:
-    """Index in `d.turns` where `inject` splices the recipe's block."""
-    if a.turn_index < 0 or a.turn_index > len(d.turns):
-        raise InjectionError(f"anchor index {a.turn_index} out of range for {d.id}")
-    kind = recipe.anchor_kind
-    if kind is AnchorKind.DIALOG_START:
-        return a.turn_index
-    if a.turn_index >= len(d.turns):
-        raise InjectionError(f"anchor index {a.turn_index} out of range for {d.id}")
-    at = d.turns[a.turn_index]
-    if kind is AnchorKind.BEFORE_USER_TURN:
-        if at.speaker is not Speaker.USER:
-            raise InjectionError(f"anchor {a.turn_index} in {d.id} is not a user turn")
-        return a.turn_index
-    if kind is AnchorKind.BEFORE_AGENT_TURN:
-        if at.speaker is not Speaker.AGENT:
-            raise InjectionError(f"anchor {a.turn_index} in {d.id} is not an agent turn")
-        return a.turn_index
-    if kind is AnchorKind.AFTER_AGENT_TURN:
-        if at.speaker is not Speaker.AGENT:
-            raise InjectionError(f"anchor {a.turn_index} in {d.id} is not an agent turn")
-        return a.turn_index + 1
-    raise InjectionError(f"unsupported anchor kind {kind}")
-
-
 def inject(d: Dialog, recipe: PatternRecipe, a: Anchor, seed: int) -> Dialog:
     """New dialog with the recipe's turns spliced at the anchor.
 
     Pure function of its inputs: surface draws are keyed by
     (seed, dialog id, pattern name), not by call order.
     """
+    turns = list(d.turns)
+    splice(turns, d, recipe, a, seed)
+    return Dialog(id=d.id, domain=d.domain, turns=tuple(turns), kb=d.kb, source_info=d.source_info)
+
+
+def splice(turns: list[Turn], d: Dialog, recipe: PatternRecipe, a: Anchor, seed: int) -> int:
+    """Insert the recipe's realized block into `turns`, the current turns of
+    `d`, at the anchor (an index into `turns`); returns the insert index. A
+    splice that passes the checks keeps `turns` alternating, so a fold of
+    splices needs one `Dialog` at the end."""
     if a.dialog_id != d.id:
         raise InjectionError(f"anchor belongs to {a.dialog_id}, not {d.id}")
-    if recipe.name in d.applied_patterns:
+    if any(t.injected_by == recipe.name for t in turns):
         raise InjectionError(f"pattern already applied at anchor: {recipe.name} in {d.id}")
-    pos = insert_position(recipe, d, a)
+    kind, i = recipe.anchor_kind, a.turn_index
+    if not 0 <= i <= len(turns) or (i == len(turns) and kind is not AnchorKind.DIALOG_START):
+        raise InjectionError(f"anchor index {i} out of range for {d.id}")
+    if kind is AnchorKind.BEFORE_USER_TURN and turns[i].speaker is not Speaker.USER:
+        raise InjectionError(f"anchor {i} in {d.id} is not a user turn")
+    if kind in (AnchorKind.BEFORE_AGENT_TURN, AnchorKind.AFTER_AGENT_TURN) \
+            and turns[i].speaker is not Speaker.AGENT:
+        raise InjectionError(f"anchor {i} in {d.id} is not an agent turn")
+    pos = i + 1 if kind is AnchorKind.AFTER_AGENT_TURN else i
 
     block_first = recipe.template[0].speaker
     block_last = recipe.template[-1].speaker
     if pos == 0:
         if block_first is not Speaker.USER:
             raise InjectionError(f"{recipe.name}: block at dialog start must open with the user")
-    elif d.turns[pos - 1].speaker is block_first:
+    elif turns[pos - 1].speaker is block_first:
         raise InjectionError(f"{recipe.name}: splice at {pos} breaks alternation")
-    if pos < len(d.turns) and d.turns[pos].speaker is block_last:
+    if pos < len(turns) and turns[pos].speaker is block_last:
         raise InjectionError(f"{recipe.name}: splice at {pos} breaks alternation")
 
     bound = a.bound_map()
@@ -495,6 +490,5 @@ def inject(d: Dialog, recipe: PatternRecipe, a: Anchor, seed: int) -> Dialog:
         idx = (base_draw[t.action] + occ) % len(forms)
         projected = {s.rstrip("0123456789").rstrip("_"): bound[s] for s in t.slots}
         new_turns.append(Turn(t.speaker, _fill(forms[idx], projected), injected_by=recipe.name))
-
-    turns = d.turns[:pos] + tuple(new_turns) + d.turns[pos:]
-    return Dialog(id=d.id, domain=d.domain, turns=turns, kb=d.kb, source_info=d.source_info)
+    turns[pos:pos] = new_turns
+    return pos

@@ -80,6 +80,17 @@ class TestParse:
         with pytest.raises(ParseError, match=message):
             parse_babi(b"1 hi\thello\n", sidecar)
 
+    @pytest.mark.parametrize("sidecar, message", [
+        (b"babi-0: 0=open_request_screening,1=open_request_screening\nbabi-0:\n",
+         "sidecar line 2: dialog babi-0 is listed twice"),
+        (b"babi-0: 1=open_request_screening,1=capability_expansion\n",
+         "sidecar line 1: turn 1 is listed twice"),
+    ])
+    def test_sidecar_repeats_rejected(self, sidecar, message):
+        # A later line or mark must not silently replace an earlier one.
+        with pytest.raises(ParseError, match=message):
+            parse_babi(b"1 hi\thello\n", sidecar)
+
     @pytest.mark.parametrize("pattern", ["bogus", "", "Open_Request_Screening"])
     def test_sidecar_unknown_pattern_rejected(self, pattern):
         sidecar = f"babi-0: 1={pattern}\n".encode()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natvar import cli
+from natvar import cli, manifest as nman
 from natvar.babi import serialize_origin_sidecar
 from natvar.io import load_corpus, parse_corpus, serialize_corpus
 from natvar.manifest import export_manifest, read_predictions, serialize_manifest
@@ -123,6 +123,49 @@ def test_bad_manifest_is_a_parse_error(capsys, tmp_path, smd_file, manifest):
                                 "--format", "smd"])
     assert code == 2
     assert len(lines) == 1 and "manifest" in lines[0]
+
+
+def _eval_inputs(tmp_path, seed: int, n_dialogs: int):
+    """A bAbI corpus file with its exported manifest and gold predictions."""
+    corpus = parse_corpus(make_babi_bytes(seed=seed, n_dialogs=n_dialogs), "babi")
+    manifest = export_manifest(corpus)
+    paths = [tmp_path / f"{seed}-{n_dialogs}.{ext}" for ext in ("txt", "tsv", "preds")]
+    paths[0].write_bytes(corpus.source_bytes)
+    paths[1].write_bytes(serialize_manifest(manifest))
+    paths[2].write_bytes("".join(f"{e.gold_text}\n" for e in manifest.entries).encode())
+    return paths
+
+
+@pytest.mark.parametrize("edit, message", [
+    (None, "manifest entry babi-"),
+    (lambda m: m.replace(b"babi-1\t1\t", b"babi-1\t99\t", 1), "manifest entry babi-1@99 is not in"),
+    (lambda m: m.replace(b"babi-1\t1\t", b"babi-1\t-1\t", 1), "manifest entry babi-1@-1 is not in"),
+    (lambda m: m.replace(b"babi-2\t1\t", b"babi-9\t1\t", 1), "manifest entry babi-9@1 is not in"),
+    (lambda m: m.replace(b"babi-2\t1\thello", b"babi-2\t1\thi", 1),
+     "manifest entry babi-2@1 does not match the corpus turn's text"),
+], ids=["other-corpus", "index-past-end", "negative-index", "unknown-dialog", "other-gold"])
+def test_eval_against_a_corpus_the_manifest_does_not_fit(capsys, tmp_path, edit, message):
+    corpus, manifest, preds = _eval_inputs(tmp_path, seed=1, n_dialogs=6)
+    if edit is None:  # the whole manifest and predictions of another corpus
+        corpus = _eval_inputs(tmp_path, seed=2, n_dialogs=3)[0]
+    else:
+        manifest.write_bytes(edit(manifest.read_bytes()))
+    code, lines = _run(capsys, ["eval", "--predictions", preds, "--manifest", manifest,
+                                "--corpus", corpus, "--format", "babi"])
+    assert code == 2
+    assert len(lines) == 1 and message in lines[0], lines
+
+
+def test_eval_serializes_the_manifest_once(capsys, tmp_path, monkeypatch):
+    # read_predictions and the metric walk both check the manifest digest.
+    corpus, manifest, preds = _eval_inputs(tmp_path, seed=1, n_dialogs=6)
+    calls = []
+    real = nman.serialize_manifest
+    monkeypatch.setattr(nman, "serialize_manifest", lambda m: calls.append(m) or real(m))
+    code, _ = _run(capsys, ["eval", "--predictions", preds, "--manifest", manifest,
+                            "--corpus", corpus, "--format", "babi"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("report", [b"\xff{}", b"not json", b"5", b'{"bleu": "x"}',

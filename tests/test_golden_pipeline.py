@@ -1,5 +1,6 @@
-"""The seed-0 `inject` outputs of both Table-1 presets, and the bAbI eval
-report, against the digests the benchmark pins in `perfbench/golden.json`.
+"""The seed-0 `inject` outputs of both Table-1 presets, and the bAbI
+`ablate --all` corpora and eval report, against the digests the benchmark
+pins in `perfbench/golden.json`.
 
 The inputs are made as `perfbench/run.py` makes them for seed 0: the
 generators' default corpora and, for bAbI, the same prediction mix. Their
@@ -61,6 +62,12 @@ def test_seed0_outputs_match_benchmark_golden(tmp_path, smd_bytes, babi_bytes, w
                          "--entity-scope", "global", "--output", str(out / "eval-global")]) == 0
         names += ["inputs/predictions.txt", f"updated.{ext}.origin", "eval-global.report.json",
                   "eval-global.report.txt"]
+        assert cli.main(["ablate", "--input", str(corpus), "--format", fmt, "--preset",
+                         f"{fmt}-table1", "--seed", "0", "--all",
+                         "--output-dir", str(out / "ablate")]) == 0
+        ablated = sorted(n for n in GOLDEN[workload] if n.startswith("ablate/"))
+        assert len(ablated) == 21  # corpus, sidecar and manifest of each of 7 patterns
+        names += ablated
 
     got = _digests(out) | {f"inputs/{k}": v for k, v in _digests(inputs).items()}
     assert {n: got.get(n) for n in names} == {n: GOLDEN[workload][n] for n in names}

@@ -1,6 +1,10 @@
 import pytest
 from dataclasses import replace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from natvar.io import parse_corpus
 from natvar.model import mean_utterances, utterance_count
 from natvar.planner import (
     PlanConfig,
@@ -16,7 +20,8 @@ from natvar.planner import (
     render_review,
     sample_review,
 )
-from natvar.recipes import ADDED_TURNS
+from natvar.recipes import ADDED_TURNS, RECIPES, InjectionError, inject, patterns_for_dataset
+from natvar.synthetic import make_babi_bytes, make_smd_bytes
 
 
 class TestPlan:
@@ -133,6 +138,53 @@ class TestExecute:
         pln = plan(small_smd_corpus, cfg)
         with pytest.raises(PlanMismatchError, match="mismatch"):
             execute(smd_corpus, pln)
+
+
+def _folded_inject(corpus, pln) -> tuple:
+    """The reference for `execute`: `recipes.inject` folded over each dialog's
+    assignments in plan order, each anchor moved to where its original turn
+    now stands."""
+    todo: dict[str, list] = {}
+    for a in pln.assignments:
+        todo.setdefault(a.dialog_id, []).append(a)
+    dialogs = []
+    for d in corpus.dialogs:
+        for a in todo.get(d.id, ()):
+            now = [i for i, t in enumerate(d.turns) if t.is_original] + [len(d.turns)]
+            anchor = replace(a.anchor, turn_index=now[a.anchor.turn_index])
+            d = inject(d, RECIPES[a.pattern], anchor, pln.seed)
+        dialogs.append(d)
+    return tuple(dialogs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fmt=st.sampled_from(["babi", "smd"]), seed=st.integers(0, 10_000),
+       n_dialogs=st.integers(1, 25), cap=st.integers(1, 5),
+       edit=st.sampled_from([None, "move", "repeat"]), data=st.data())
+def test_execute_equals_folded_inject(fmt, seed, n_dialogs, cap, edit, data):
+    make = make_babi_bytes if fmt == "babi" else make_smd_bytes
+    corpus = parse_corpus(make(seed=seed, n_dialogs=n_dialogs), fmt)
+    cfg = PlanConfig(targets={p: n_dialogs for p in patterns_for_dataset(fmt)}, seed=seed,
+                     max_patterns_per_dialog=cap, allow_shortfall=True)
+    pln = plan(corpus, cfg)
+    if edit and pln.assignments:
+        # A moved anchor or a repeated pattern may fail a splice check; the
+        # fold and `execute` must then fail with the same error.
+        k = data.draw(st.integers(0, len(pln.assignments) - 1))
+        a = pln.assignments[k]
+        if edit == "move":
+            n_turns = len(corpus.dialog_by_id()[a.dialog_id].turns)
+            a = replace(a, anchor=replace(a.anchor, turn_index=data.draw(st.integers(0, n_turns))))
+        pln = replace(pln, assignments=pln.assignments[:k] + (a,) * (1 + (edit == "repeat"))
+                      + pln.assignments[k + 1:])
+    try:
+        expected = _folded_inject(corpus, pln)
+    except InjectionError as e:
+        with pytest.raises(InjectionError) as got:
+            execute(corpus, pln)
+        assert str(got.value) == str(e)
+    else:
+        assert execute(corpus, pln).dialogs == expected
 
 
 class TestAdjustHistogram:
