@@ -20,7 +20,7 @@ turn indices are injected and by which pattern:
 
 from __future__ import annotations
 
-from .catalog import list_patterns
+from .catalog import CATALOG
 from .model import (
     Dialog,
     DialogCorpus,
@@ -57,7 +57,7 @@ BABI_SLOT_VALUES: dict[str, tuple[str, ...]] = {
 }
 
 # The pattern names an injected turn may carry: those with a recipe.
-_RECIPE_PATTERNS = frozenset(e.id.name for e in list_patterns() if e.has_recipe)
+_RECIPE_PATTERNS = frozenset(e.name for e in CATALOG if e.has_recipe)
 
 # api_call argument positions, per the task-5 generator.
 API_CALL_SLOTS = ("cuisine", "location", "number", "price")

@@ -12,32 +12,23 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class PatternId:
-    klass: str  # "A" | "B" | "C"
-    name: str   # canonical snake-case name
-
-
-@dataclass(frozen=True)
 class PatternCatalogEntry:
-    id: PatternId
     code: str
+    name: str  # canonical snake-case name, derived from the title
     description: str
     has_recipe: bool
 
+    @property
+    def klass(self) -> str:  # "A" | "B" | "C"
+        return self.code[0]
 
-def _entry(code: str, title: str, description: str, has_recipe: bool = False,
-           name: str | None = None) -> PatternCatalogEntry:
-    snake = name or "".join(
-        c if c.isalnum() else "_" for c in title.lower()
-    ).strip("_")
+
+def _entry(code: str, title: str, description: str,
+           has_recipe: bool = False) -> PatternCatalogEntry:
+    snake = "".join(c if c.isalnum() else "_" for c in title.lower()).strip("_")
     while "__" in snake:
         snake = snake.replace("__", "_")
-    return PatternCatalogEntry(
-        id=PatternId(klass=code[0], name=snake),
-        code=code,
-        description=description,
-        has_recipe=has_recipe,
-    )
+    return PatternCatalogEntry(code, snake, description, has_recipe)
 
 
 CATALOG: tuple[PatternCatalogEntry, ...] = (
@@ -48,10 +39,10 @@ CATALOG: tuple[PatternCatalogEntry, ...] = (
     _entry("A2.2", "Open Request Continuer", "agent signals the user to continue an open request"),
     _entry("A2.3", "Open Request Screening",
            "user asks a preliminary question to check the agent can help before the full request",
-           has_recipe=True, name="open_request_screening"),
+           has_recipe=True),
     _entry("A2.5", "Open Request User Detail Request",
            "user asks for the available options when answering an agent question",
-           has_recipe=True, name="open_request_user_detail_request"),
+           has_recipe=True),
     _entry("A2.6", "Open Request Summary", "agent summarizes an open request"),
     _entry("A2.11", "Open Request Repairs", "repairs inside an open request"),
     _entry("A3.0", "Extended Telling with Repair", "interactive telling with repair"),
@@ -60,21 +51,21 @@ CATALOG: tuple[PatternCatalogEntry, ...] = (
     _entry("B1.2.2", "Agent Continuer", "agent produces a continuer"),
     _entry("B2.6.0", "Example Request",
            "user asks for an example to clarify the agent's prior utterance",
-           has_recipe=True, name="example_request"),
+           has_recipe=True),
     _entry("B3.1.1", "Misunderstanding Report",
            "user reports that the agent misunderstood the request; agent repairs",
-           has_recipe=True, name="misunderstanding_report"),
+           has_recipe=True),
     _entry("B3.2.0", "Other-Correction",
            "agent corrects a slip in the user's utterance",
-           has_recipe=True, name="other_correction"),
+           has_recipe=True),
     _entry("B4.0", "Sequence Closer (helped)", "user closes a sequence that helped"),
     _entry("B4.1", "Sequence Closer (not helped)",
            "user acknowledges an unhelpful response negatively",
-           has_recipe=True, name="sequence_closer_not_helped"),
+           has_recipe=True),
     _entry("B4.2", "Sequence Closer Appreciation", "user closes with an appreciation"),
     _entry("B4.4", "Sequence Closer (repaired)",
            "user acknowledges the repair of a sequence",
-           has_recipe=True, name="sequence_closer_repaired"),
+           has_recipe=True),
     # C: conversation-level management
     _entry("C1.4", "Opening Welfare Check (Agent)", "agent opens with a welfare check"),
     _entry("C1.5", "Opening Organization Offer of Help (Agent)", "agent opens offering help"),
@@ -85,7 +76,7 @@ CATALOG: tuple[PatternCatalogEntry, ...] = (
     _entry("C3.0", "General Capability Check", "user asks what the agent can do"),
     _entry("C3.1", "Capability Expansion",
            "user asks the agent to expand on capabilities it mentioned",
-           has_recipe=True, name="capability_expansion"),
+           has_recipe=True),
     _entry("C3.2", "Specific Capability Check", "user checks one specific capability"),
     _entry("C4.7", "Closing Success Check (Disaffirmed)", "closing success check, disaffirmed"),
     _entry("C4.8", "Closing Success Check Reopened", "closing success check reopens the dialog"),
@@ -93,9 +84,5 @@ CATALOG: tuple[PatternCatalogEntry, ...] = (
     _entry("C4.10", "Closing Offer (Disaffirmed)", "closing offer, disaffirmed"),
     _entry("C5.2", "Recipient Correction",
            "user indicates they were talking to someone other than the agent",
-           has_recipe=True, name="recipient_correction"),
+           has_recipe=True),
 )
-
-
-def list_patterns() -> tuple[PatternCatalogEntry, ...]:
-    return CATALOG

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .babi import ParseError
 from .baseline import BaselineError, candidates_from_corpus, load_candidates, predict
-from .catalog import list_patterns
+from .catalog import CATALOG
 from .io import load_corpus, save_corpus, serialize_corpus, sha256_hex
 from .manifest import (check_corpus, export_manifest, parse_manifest, read_predictions,
                        serialize_manifest)
@@ -40,7 +40,7 @@ from .planner import (
     render_review,
     sample_review,
 )
-from .recipes import RECIPES, InjectionError, patterns_for_dataset
+from .recipes import InjectionError, patterns_for_dataset
 from .stats import corpus_stats, render_stats
 
 
@@ -62,22 +62,24 @@ def _build_parser() -> _Parser:
         sp.add_argument(input_flag, required=True, help="corpus file")
         sp.add_argument("--format", required=True, choices=("babi", "smd"))
 
+    def add_plan_args(sp):
+        g = sp.add_mutually_exclusive_group(required=True)
+        g.add_argument("--preset", choices=("smd-table1", "babi-table1"))
+        g.add_argument("--config", help="plan config JSON file")
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--allow-shortfall", action="store_true")
+
     sp = sub.add_parser("inject", help="apply a full injection plan to a test corpus")
     add_corpus_args(sp)
-    sp.add_argument("--preset", choices=("smd-table1", "babi-table1"))
-    sp.add_argument("--config", help="plan config JSON file")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--allow-shortfall", action="store_true")
+    add_plan_args(sp)
     sp.add_argument("--output", help="updated corpus path (stdout when absent)")
 
     sp = sub.add_parser("ablate", help="one updated corpus per single pattern")
     add_corpus_args(sp)
-    sp.add_argument("--pattern", help="pattern name (see `natvar patterns`)")
-    sp.add_argument("--all", action="store_true", help="every pattern valid for the format")
-    sp.add_argument("--preset", choices=("smd-table1", "babi-table1"))
-    sp.add_argument("--config", help="plan config JSON file")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--allow-shortfall", action="store_true")
+    g = sp.add_mutually_exclusive_group(required=True)
+    g.add_argument("--pattern", help="pattern name (see `natvar patterns`)")
+    g.add_argument("--all", action="store_true", help="every pattern valid for the format")
+    add_plan_args(sp)
     sp.add_argument("--output-dir", required=True)
 
     sp = sub.add_parser("stats", help="corpus statistics (counts, overlap, mean utterances)")
@@ -111,8 +113,6 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_config(args, fmt: str) -> PlanConfig:
-    if args.preset and args.config:
-        raise UsageError("--preset and --config are mutually exclusive")
     if args.preset:
         cfg = preset_config(args.preset, seed=args.seed,
                             allow_shortfall=args.allow_shortfall)
@@ -120,23 +120,21 @@ def _resolve_config(args, fmt: str) -> PlanConfig:
         if expected != fmt:
             raise UsageError(f"preset {args.preset} does not match --format {fmt}")
         return cfg
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as f:
-                d = json.load(f)
-        except (OSError, ValueError, RecursionError) as e:
-            raise PlanError(f"cannot read config {args.config}: {e}") from e
-        if not isinstance(d, dict):
-            raise PlanError(f"config {args.config}: expected a JSON object")
-        d.setdefault("seed", args.seed)
-        if args.seed != 0:
-            d["seed"] = args.seed
-        d["allow_shortfall"] = args.allow_shortfall or d.get("allow_shortfall", False)
-        try:
-            return config_from_dict(d)
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
-            raise PlanError(f"invalid config {args.config}: {type(e).__name__}: {e}") from e
-    raise UsageError("one of --preset or --config is required")
+    try:
+        with open(args.config, "r", encoding="utf-8") as f:
+            d = json.load(f)
+    except (OSError, ValueError, RecursionError) as e:
+        raise PlanError(f"cannot read config {args.config}: {e}") from e
+    if not isinstance(d, dict):
+        raise PlanError(f"config {args.config}: expected a JSON object")
+    d.setdefault("seed", args.seed)
+    if args.seed != 0:
+        d["seed"] = args.seed
+    d["allow_shortfall"] = args.allow_shortfall or d.get("allow_shortfall", False)
+    try:
+        return config_from_dict(d)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
+        raise PlanError(f"invalid config {args.config}: {type(e).__name__}: {e}") from e
 
 
 def _plan_dump(pln) -> bytes:
@@ -212,27 +210,16 @@ def cmd_inject(args) -> int:
 def cmd_ablate(args) -> int:
     corpus = load_corpus(args.input, args.format)
     cfg = _resolve_config(args, args.format)
-    valid = patterns_for_dataset(args.format)
     if args.all:
-        names = [p for p in valid if cfg.targets.get(p, 0) > 0]
-    elif args.pattern:
-        if args.pattern not in RECIPES:
-            raise UsageError(
-                f"unknown pattern {args.pattern!r}; recipe-bearing patterns: "
-                + ", ".join(sorted(RECIPES))
-            )
-        if args.pattern not in valid:
-            raise UsageError(f"pattern not applicable to {args.format}: {args.pattern}")
-        names = [args.pattern]
+        names = [p for p in patterns_for_dataset(args.format) if cfg.targets.get(p, 0) > 0]
     else:
-        raise UsageError("one of --pattern or --all is required")
-
+        names = [args.pattern]
     outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     ext = "txt" if args.format == "babi" else "json"
     inputs = {args.input: sha256_hex(corpus.source_bytes)}
     for name in names:
-        updated = ablate(corpus, cfg, name)
+        updated = ablate(corpus, cfg, name)  # checks the name before any output
+        outdir.mkdir(parents=True, exist_ok=True)
         out = outdir / f"{name}.{ext}"
         written = _save_with_manifest(updated, out)
         print(f"{name}: mean utterances/dialog = {mean_utterances(updated):.2f}", file=sys.stderr)
@@ -310,8 +297,8 @@ def cmd_baseline(args) -> int:
 
 def cmd_patterns(args) -> int:
     rows = [f"{'code':<8}{'class':<7}{'recipe':<8}name"]
-    for e in list_patterns():
-        rows.append(f"{e.code:<8}{e.id.klass:<7}{'yes' if e.has_recipe else '-':<8}{e.id.name}")
+    for e in CATALOG:
+        rows.append(f"{e.code:<8}{e.klass:<7}{'yes' if e.has_recipe else '-':<8}{e.name}")
     sys.stdout.write("\n".join(rows) + "\n")
     return 0
 

@@ -108,14 +108,7 @@ PRESETS: dict[str, dict] = {
 def preset_config(name: str, seed: int = 0, allow_shortfall: bool = False) -> PlanConfig:
     if name not in PRESETS:
         raise PlanError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    p = PRESETS[name]
-    return PlanConfig(
-        targets=dict(p["targets"]),
-        seed=seed,
-        max_patterns_per_dialog=p["max_patterns_per_dialog"],
-        histogram_targets=tuple(p["histogram_targets"]),
-        allow_shortfall=allow_shortfall,
-    )
+    return config_from_dict(dict(PRESETS[name], seed=seed, allow_shortfall=allow_shortfall))
 
 
 def config_from_dict(d: dict) -> PlanConfig:
@@ -362,7 +355,7 @@ def execute(corpus: DialogCorpus, pln: InjectionPlan) -> DialogCorpus:
             curr = orig_to_curr[t] if t < len(orig_to_curr) else len(turns)
             rebased = Anchor(a.anchor.dialog_id, curr, a.anchor.bound)
             insert_at = splice(turns, d, recipe, rebased, pln.seed)
-            k = recipe.added_turn_count
+            k = len(recipe.template)
             orig_to_curr = [x + k if x >= insert_at else x for x in orig_to_curr]
         return Dialog(id=d.id, domain=d.domain, turns=tuple(turns), kb=d.kb,
                       source_info=d.source_info)

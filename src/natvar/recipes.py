@@ -12,14 +12,23 @@ forms, knowledge-base contents). Where a slip or a corrupted answer is
 needed, the distractor is the value of the same attribute drawn from the
 dialog's KB (falling back to the fixed slot vocabulary for the restaurant
 corpus); dialogs without any distractor simply yield no anchor.
+
+`RECIPES` is the one registry of recipe patterns: a row declares the
+pattern's name, anchor kind, template, datasets and anchor finder, and the
+Table-row order of its rows is the order of assignment priority. To add a
+pattern, add one `RECIPES` row with its finder, one phrase-bank entry
+(`data/phrase_bank.json`) and `has_recipe=True` on its `catalog.CATALOG`
+entry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .babi import BABI_SLOT_VALUES, slot_for_question
 from .model import (
@@ -55,10 +64,9 @@ class PatternRecipe:
     anchor_kind: AnchorKind
     template: tuple[TemplateTurn, ...]
     datasets: frozenset[str]
-
-    @property
-    def added_turn_count(self) -> int:
-        return len(self.template)
+    # Anchors in a dialog; the second argument makes the dialog's keyed
+    # generator, which a finder that draws calls once.
+    find: Callable[[Dialog, Callable[[], random.Random]], list[Anchor]]
 
     def __post_init__(self):
         for i in range(1, len(self.template)):
@@ -78,105 +86,6 @@ class Anchor:
 
 class InjectionError(ValueError):
     """Invalid anchor, missing slot binding, or re-applied pattern."""
-
-
-_U, _A = Speaker.USER, Speaker.AGENT
-
-
-def _tpl(*turns: tuple) -> tuple[TemplateTurn, ...]:
-    return tuple(TemplateTurn(s, a, tuple(sl)) for s, a, *sl in turns)
-
-
-RECIPES: dict[str, PatternRecipe] = {
-    r.name: r
-    for r in (
-        PatternRecipe(
-            "open_request_screening", AnchorKind.DIALOG_START,
-            _tpl((_U, "PRE-REQUEST", "intent"), (_A, "GO-AHEAD")),
-            frozenset({"babi", "smd"}),
-        ),
-        PatternRecipe(
-            "open_request_user_detail_request", AnchorKind.BEFORE_USER_TURN,
-            _tpl((_U, "DETAIL-REQUEST"), (_A, "ENUMERATION", "options")),
-            frozenset({"babi"}),
-        ),
-        PatternRecipe(
-            "example_request", AnchorKind.AFTER_AGENT_TURN,
-            _tpl((_U, "EXAMPLE-REQUEST"), (_A, "EXAMPLE", "example")),
-            frozenset({"smd"}),
-        ),
-        PatternRecipe(
-            "misunderstanding_report", AnchorKind.BEFORE_AGENT_TURN,
-            _tpl(
-                (_A, "CORRUPTED-ANSWER", "corrupted_answer"),
-                (_U, "REPORT"),
-                (_A, "APOLOGY-REPEAT-REQUEST"),
-                (_U, "RESTATEMENT", "prior_request"),
-            ),
-            frozenset({"babi", "smd"}),
-        ),
-        PatternRecipe(
-            "other_correction", AnchorKind.BEFORE_USER_TURN,
-            _tpl((_U, "SLIP", "slip_utterance"), (_A, "CORRECTION", "value", "distractor")),
-            frozenset({"babi", "smd"}),
-        ),
-        PatternRecipe(
-            "sequence_closer_not_helped", AnchorKind.AFTER_AGENT_TURN,
-            _tpl((_U, "CLOSER"), (_A, "RECEIPT")),
-            frozenset({"babi", "smd"}),
-        ),
-        PatternRecipe(
-            "sequence_closer_repaired", AnchorKind.AFTER_AGENT_TURN,
-            _tpl((_U, "APPRECIATION"), (_A, "RECEIPT")),
-            frozenset({"babi", "smd"}),
-        ),
-        PatternRecipe(
-            "capability_expansion", AnchorKind.DIALOG_START,
-            _tpl(
-                (_U, "CAPABILITY-CHECK"),
-                (_A, "CAPABILITY-LIST", "capabilities"),
-                (_U, "EXPANSION-REQUEST", "capability_1"),
-                (_A, "EXPANSION", "capability_1", "example_1"),
-                (_U, "EXPANSION-REQUEST", "capability_2"),
-                (_A, "EXPANSION", "capability_2", "example_2"),
-                (_U, "EXPANSION-REQUEST", "capability_3"),
-                (_A, "EXPANSION", "capability_3", "example_3"),
-                (_U, "ACKNOWLEDGEMENT"),
-                (_A, "RECEIPT"),
-            ),
-            frozenset({"babi", "smd"}),
-        ),
-        PatternRecipe(
-            "recipient_correction", AnchorKind.BEFORE_USER_TURN,
-            _tpl(
-                (_U, "SIDE-REMARK"),
-                (_A, "MISTAKEN-REPLY"),
-                (_U, "CORRECTION"),
-                (_A, "STAND-BY"),
-                (_U, "SIDE-REMARK"),
-                (_A, "MISTAKEN-REPLY"),
-                (_U, "CORRECTION"),
-                (_A, "STAND-BY"),
-            ),
-            frozenset({"smd"}),
-        ),
-    )
-}
-
-#: Table-row order used for assignment priority.
-PATTERN_ORDER = (
-    "open_request_screening",
-    "open_request_user_detail_request",
-    "example_request",
-    "misunderstanding_report",
-    "other_correction",
-    "sequence_closer_not_helped",
-    "sequence_closer_repaired",
-    "capability_expansion",
-    "recipient_correction",
-)
-
-ADDED_TURNS = {name: r.added_turn_count for name, r in RECIPES.items()}
 
 
 def patterns_for_dataset(dataset: str) -> tuple[str, ...]:
@@ -260,18 +169,17 @@ def find_anchors(recipe: PatternRecipe, d: Dialog, seed: int = 0) -> list[Anchor
     dataset = "babi" if d.domain == "restaurant" else "smd"
     if dataset not in recipe.datasets or not d.turns:
         return []
-    rng = keyed_rng(seed, d.id, recipe.name, "anchors") if recipe.name in _DRAWING else None
-    return _FINDERS[recipe.name](d, rng)
+    return recipe.find(d, partial(keyed_rng, seed, d.id, recipe.name, "anchors"))
 
 
-def _anchors_screening(d: Dialog, rng) -> list[Anchor]:
+def _anchors_screening(d: Dialog, new_rng) -> list[Anchor]:
     if d.turns[0].speaker is not Speaker.USER:
         return []
     intent = _INTENT_PHRASES[d.domain]
     return [Anchor(d.id, 0, (("intent", intent),))]
 
 
-def _anchors_user_detail(d: Dialog, rng) -> list[Anchor]:
+def _anchors_user_detail(d: Dialog, new_rng) -> list[Anchor]:
     anchors = []
     for i, t in enumerate(d.turns):
         if t.speaker is not Speaker.USER or i == 0:
@@ -292,9 +200,10 @@ def _anchors_user_detail(d: Dialog, rng) -> list[Anchor]:
     return anchors
 
 
-def _anchors_example(d: Dialog, rng) -> list[Anchor]:
+def _anchors_example(d: Dialog, new_rng) -> list[Anchor]:
     if not d.kb.entries:
         return []
+    rng = new_rng()
     anchors = []
     for i, t in enumerate(d.turns):
         if t.speaker is not Speaker.AGENT or not t.is_original:
@@ -309,10 +218,11 @@ def _anchors_example(d: Dialog, rng) -> list[Anchor]:
     return anchors
 
 
-def _anchors_misunderstanding(d: Dialog, rng) -> list[Anchor]:
+def _anchors_misunderstanding(d: Dialog, new_rng) -> list[Anchor]:
     lexicon = d.entity_lexicon()
     if not lexicon:
         return []
+    rng = new_rng()
     anchors = []
     for i, t in enumerate(d.turns):
         if t.speaker is not Speaker.AGENT or not t.is_original or i == 0:
@@ -337,7 +247,8 @@ def _anchors_misunderstanding(d: Dialog, rng) -> list[Anchor]:
     return anchors
 
 
-def _anchors_other_correction(d: Dialog, rng) -> list[Anchor]:
+def _anchors_slip(d: Dialog, new_rng) -> list[Anchor]:
+    rng = new_rng()
     anchors = []
     for i, t in enumerate(d.turns):
         if t.speaker is not Speaker.USER or not t.is_original:
@@ -362,7 +273,7 @@ def _anchors_other_correction(d: Dialog, rng) -> list[Anchor]:
     return anchors
 
 
-def _anchors_not_helped(d: Dialog, rng) -> list[Anchor]:
+def _anchors_not_helped(d: Dialog, new_rng) -> list[Anchor]:
     markers = _BABI_UNHELPFUL_MARKERS if d.domain == "restaurant" else _SMD_UNHELPFUL_MARKERS
     anchors = []
     for i, t in enumerate(d.turns):
@@ -374,7 +285,7 @@ def _anchors_not_helped(d: Dialog, rng) -> list[Anchor]:
     return anchors
 
 
-def _anchors_repaired(d: Dialog, rng) -> list[Anchor]:
+def _anchors_repaired(d: Dialog, new_rng) -> list[Anchor]:
     anchors = []
     for i in range(2, len(d.turns)):
         t = d.turns[i]
@@ -387,7 +298,7 @@ def _anchors_repaired(d: Dialog, rng) -> list[Anchor]:
     return anchors
 
 
-def _anchors_capability(d: Dialog, rng) -> list[Anchor]:
+def _anchors_capability(d: Dialog, new_rng) -> list[Anchor]:
     if d.turns[0].speaker is not Speaker.USER:
         return []
     caps = _BABI_CAPABILITIES if d.domain == "restaurant" else _SMD_CAPABILITIES
@@ -398,7 +309,7 @@ def _anchors_capability(d: Dialog, rng) -> list[Anchor]:
     return [Anchor(d.id, 0, tuple(bound))]
 
 
-def _anchors_recipient(d: Dialog, rng) -> list[Anchor]:
+def _anchors_recipient(d: Dialog, new_rng) -> list[Anchor]:
     return [
         Anchor(d.id, i)
         for i, t in enumerate(d.turns)
@@ -406,20 +317,93 @@ def _anchors_recipient(d: Dialog, rng) -> list[Anchor]:
     ]
 
 
-_FINDERS = {
-    "open_request_screening": _anchors_screening,
-    "open_request_user_detail_request": _anchors_user_detail,
-    "example_request": _anchors_example,
-    "misunderstanding_report": _anchors_misunderstanding,
-    "other_correction": _anchors_other_correction,
-    "sequence_closer_not_helped": _anchors_not_helped,
-    "sequence_closer_repaired": _anchors_repaired,
-    "capability_expansion": _anchors_capability,
-    "recipient_correction": _anchors_recipient,
+# --- the recipe table -----------------------------------------------------
+
+_U, _A = Speaker.USER, Speaker.AGENT
+
+
+def _tpl(*turns: tuple) -> tuple[TemplateTurn, ...]:
+    return tuple(TemplateTurn(s, a, tuple(sl)) for s, a, *sl in turns)
+
+
+RECIPES: dict[str, PatternRecipe] = {
+    r.name: r
+    for r in (
+        PatternRecipe(
+            "open_request_screening", AnchorKind.DIALOG_START,
+            _tpl((_U, "PRE-REQUEST", "intent"), (_A, "GO-AHEAD")),
+            frozenset({"babi", "smd"}), _anchors_screening,
+        ),
+        PatternRecipe(
+            "open_request_user_detail_request", AnchorKind.BEFORE_USER_TURN,
+            _tpl((_U, "DETAIL-REQUEST"), (_A, "ENUMERATION", "options")),
+            frozenset({"babi"}), _anchors_user_detail,
+        ),
+        PatternRecipe(
+            "example_request", AnchorKind.AFTER_AGENT_TURN,
+            _tpl((_U, "EXAMPLE-REQUEST"), (_A, "EXAMPLE", "example")),
+            frozenset({"smd"}), _anchors_example,
+        ),
+        PatternRecipe(
+            "misunderstanding_report", AnchorKind.BEFORE_AGENT_TURN,
+            _tpl(
+                (_A, "CORRUPTED-ANSWER", "corrupted_answer"),
+                (_U, "REPORT"),
+                (_A, "APOLOGY-REPEAT-REQUEST"),
+                (_U, "RESTATEMENT", "prior_request"),
+            ),
+            frozenset({"babi", "smd"}), _anchors_misunderstanding,
+        ),
+        PatternRecipe(
+            "other_correction", AnchorKind.BEFORE_USER_TURN,
+            _tpl((_U, "SLIP", "slip_utterance"), (_A, "CORRECTION", "value", "distractor")),
+            frozenset({"babi", "smd"}), _anchors_slip,
+        ),
+        PatternRecipe(
+            "sequence_closer_not_helped", AnchorKind.AFTER_AGENT_TURN,
+            _tpl((_U, "CLOSER"), (_A, "RECEIPT")),
+            frozenset({"babi", "smd"}), _anchors_not_helped,
+        ),
+        PatternRecipe(
+            "sequence_closer_repaired", AnchorKind.AFTER_AGENT_TURN,
+            _tpl((_U, "APPRECIATION"), (_A, "RECEIPT")),
+            frozenset({"babi", "smd"}), _anchors_repaired,
+        ),
+        PatternRecipe(
+            "capability_expansion", AnchorKind.DIALOG_START,
+            _tpl(
+                (_U, "CAPABILITY-CHECK"),
+                (_A, "CAPABILITY-LIST", "capabilities"),
+                (_U, "EXPANSION-REQUEST", "capability_1"),
+                (_A, "EXPANSION", "capability_1", "example_1"),
+                (_U, "EXPANSION-REQUEST", "capability_2"),
+                (_A, "EXPANSION", "capability_2", "example_2"),
+                (_U, "EXPANSION-REQUEST", "capability_3"),
+                (_A, "EXPANSION", "capability_3", "example_3"),
+                (_U, "ACKNOWLEDGEMENT"),
+                (_A, "RECEIPT"),
+            ),
+            frozenset({"babi", "smd"}), _anchors_capability,
+        ),
+        PatternRecipe(
+            "recipient_correction", AnchorKind.BEFORE_USER_TURN,
+            _tpl(
+                (_U, "SIDE-REMARK"),
+                (_A, "MISTAKEN-REPLY"),
+                (_U, "CORRECTION"),
+                (_A, "STAND-BY"),
+                (_U, "SIDE-REMARK"),
+                (_A, "MISTAKEN-REPLY"),
+                (_U, "CORRECTION"),
+                (_A, "STAND-BY"),
+            ),
+            frozenset({"smd"}), _anchors_recipient,
+        ),
+    )
 }
 
-#: The finders that draw from their keyed generator; the others are given None.
-_DRAWING = frozenset({"example_request", "misunderstanding_report", "other_correction"})
+#: Table-row order, which is the order of assignment priority.
+PATTERN_ORDER = tuple(RECIPES)
 
 
 # --- realization and splicing --------------------------------------------

@@ -75,6 +75,8 @@ def _parse_dialogue(el, index: int) -> Dialog:
         raise ParseError(f"dialog {index}: malformed dialogue object ({e})") from e
     if domain not in SMD_DOMAINS:
         raise ParseError(f"dialog {index}: unknown domain {domain!r}")
+    if not isinstance(raw_turns, list):
+        raise ParseError(f"dialog {index}: dialogue is not a JSON array")
 
     kb = _flatten_kb(scenario, domain, index)
 
@@ -86,14 +88,16 @@ def _parse_dialogue(el, index: int) -> Dialog:
             utterance = obj["data"]["utterance"]
         except (TypeError, KeyError) as e:
             raise ParseError(f"dialog {index}: malformed turn object {j} ({e})") from e
-        text = " ".join(str(utterance).split())
+        if not isinstance(utterance, str):
+            raise ParseError(f"dialog {index}: utterance of turn {j} is not a string")
+        text = " ".join(utterance.split())
         if not text:
             raise ParseError(f"dialog {index}: empty utterance in turn {j}")
         injected_by = obj.get("pattern") if obj.get("injected") else None
         if obj.get("injected"):
             check_pattern_name(injected_by, f"dialog {index}: turn {j}")
-        annotations = () if injected_by else _turn_annotations(obj["data"], text, kb)
         try:
+            annotations = () if injected_by else _turn_annotations(obj["data"], text, kb)
             turns.append(Turn(speaker, text, injected_by=injected_by, annotations=annotations))
         except ModelError as e:
             raise ParseError(f"dialog {index}: {e}") from e
@@ -116,6 +120,8 @@ def _parse_dialogue(el, index: int) -> Dialog:
 
 def _flatten_kb(scenario, domain: str, index: int) -> KbRecord:
     kb_obj = scenario.get("kb") or {}
+    if not isinstance(kb_obj, dict) or not isinstance(kb_obj.get("items") or [], list):
+        raise ParseError(f"dialog {index}: malformed KB")
     items = kb_obj.get("items")
     if not items:
         # Some scenarios intentionally lack KB attributes.
@@ -137,6 +143,8 @@ def _flatten_kb(scenario, domain: str, index: int) -> KbRecord:
 def _turn_annotations(data, text: str, kb: KbRecord) -> tuple[tuple[str, str], ...]:
     ann: list[tuple[str, str]] = []
     slots = data.get("slots") or {}
+    if not isinstance(slots, dict):
+        raise ModelError("turn slots are not a JSON object")
     kb_ents = kb.all_entities()
     for key, val in slots.items():
         if not isinstance(val, str) or not val.strip():
@@ -145,10 +153,6 @@ def _turn_annotations(data, text: str, kb: KbRecord) -> tuple[tuple[str, str], .
         # Keep only slot values grounded in the utterance or the KB.
         if norm in kb_ents or entities_in(text, {norm}):
             ann.append((f"slot:{key}", val))
-    requested = data.get("requested") or {}
-    for key, flag in requested.items():
-        if flag:
-            ann.append((f"requested:{key}", "true"))
     return tuple(ann)
 
 

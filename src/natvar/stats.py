@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .io import serialize_corpus, sha256_hex
 from .model import DialogCorpus, mean_utterances
 from .planner import overlap_histogram
-from .recipes import ADDED_TURNS, patterns_for_dataset
+from .recipes import RECIPES, patterns_for_dataset
 
 # The source statistics publish per-pattern added-turn counts for the SMD
 # testbed only; the restaurant corpus reuses them. Stated on every report.
@@ -64,7 +64,7 @@ def render_stats(stats: CorpusStats) -> str:
         "dialogs updated per pattern:",
     ]
     for name, count in stats.pattern_counts:
-        lines.append(f"  {name:<36}{count:>6}  (+{ADDED_TURNS[name]} turns each)")
+        lines.append(f"  {name:<36}{count:>6}  (+{len(RECIPES[name].template)} turns each)")
     lines.append("dialogs updated per number of patterns:")
     for k, v in stats.histogram:
         lines.append(f"  >={k:<3}{v:>6}")

@@ -57,6 +57,44 @@ def test_directory_as_input_is_a_data_error(capsys, tmp_path):
     assert len(lines) == 1
 
 
+def test_malformed_smd_kb_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "corpus.json"
+    doc = json.loads(make_smd_bytes(n_dialogs=2))
+    doc[1]["scenario"]["kb"] = [1]
+    path.write_text(json.dumps(doc))
+    code, lines = _run(capsys, ["stats", "--input", path, "--format", "smd"])
+    assert (code, lines) == (2, ["error: dialog 1: malformed KB"])
+
+
+@pytest.mark.parametrize("pattern, message", [
+    ("bogus", "error: unknown pattern 'bogus'"),
+    ("open_request_user_detail_request",
+     "error: pattern not applicable to smd: open_request_user_detail_request"),
+])
+def test_ablate_bad_pattern_is_a_configuration_error(capsys, tmp_path, smd_file, pattern,
+                                                     message):
+    out = tmp_path / "ablate"
+    code, lines = _run(capsys, ["ablate", "--input", smd_file, "--format", "smd", "--preset",
+                                "smd-table1", "--pattern", pattern, "--output-dir", out])
+    assert (code, lines) == (1, [message])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, options", [
+    ("ablate", ["--preset", "smd-table1"]),
+    ("ablate", ["--preset", "smd-table1", "--pattern", "example_request", "--all"]),
+    ("inject", []),
+    ("inject", ["--preset", "smd-table1", "--config", "config.json"]),
+], ids=["ablate-neither", "ablate-both", "inject-neither", "inject-both"])
+def test_exclusive_options_need_exactly_one(capsys, tmp_path, smd_file, cmd, options):
+    code, lines = _run(capsys, [cmd, "--input", smd_file, "--format", "smd", *options,
+                                "--output-dir" if cmd == "ablate" else "--output",
+                                tmp_path / "out"])
+    assert code == 1
+    assert lines[0].startswith("usage error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_utf8_babi_corpus_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_bytes(b"1 hello \xff there\tgood morning\n")

@@ -20,7 +20,7 @@ from natvar.planner import (
     render_review,
     sample_review,
 )
-from natvar.recipes import ADDED_TURNS, RECIPES, InjectionError, inject, patterns_for_dataset
+from natvar.recipes import RECIPES, InjectionError, inject, patterns_for_dataset
 from natvar.synthetic import make_babi_bytes, make_smd_bytes
 
 
@@ -120,7 +120,7 @@ class TestExecute:
         )
         pln = plan(small_smd_corpus, cfg)
         updated = execute(small_smd_corpus, pln)
-        added = sum(ADDED_TURNS[a.pattern] for a in pln.assignments)
+        added = sum(len(RECIPES[a.pattern].template) for a in pln.assignments)
         before = sum(utterance_count(d) for d in small_smd_corpus.dialogs)
         after = sum(utterance_count(d) for d in updated.dialogs)
         assert after - before == added

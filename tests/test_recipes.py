@@ -227,7 +227,7 @@ class TestLaws:
                     recipe = RECIPES[name]
                     for anchor in find_anchors(recipe, d, seed=1)[:3]:
                         out = inject(d, recipe, anchor, seed=1)
-                        assert len(out.turns) == len(d.turns) + recipe.added_turn_count
+                        assert len(out.turns) == len(d.turns) + len(recipe.template)
                         assert tuple(t for t in out.turns if t.is_original) == d.turns
                         cases += 1
         assert cases >= 200

@@ -62,6 +62,26 @@ class TestParse:
         with pytest.raises(ParseError, match="dialog 0: turn 0: unknown pattern"):
             parse_smd(_doc([d]))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["scenario"].update(kb=[1]), "dialog 0: malformed KB"),
+        (lambda d: d["dialogue"][1]["data"].update(slots=[1]),
+         "dialog 0: turn slots are not a JSON object"),
+        (lambda d: d["dialogue"][1]["data"].update(utterance=None),
+         "dialog 0: utterance of turn 1 is not a string"),
+        (lambda d: d.update(dialogue=None), "dialog 0: dialogue is not a JSON array"),
+    ], ids=["kb-list", "slots-list", "null-utterance", "null-dialogue"])
+    def test_malformed_field_rejected(self, edit, message):
+        d = _dialogue()
+        edit(d)
+        with pytest.raises(ParseError, match=message):
+            parse_smd(_doc([d]))
+
+    def test_requested_field_is_not_read(self):
+        d = _dialogue()
+        d["dialogue"][1]["data"]["requested"] = [1]
+        plain = parse_smd(_doc([_dialogue()]))
+        assert parse_smd(_doc([d])).dialogs[0].turns == plain.dialogs[0].turns
+
     def test_domains_cover_all_three(self, smd_corpus):
         assert {d.domain for d in smd_corpus.dialogs} == {"navigate", "weather", "schedule"}
 
