@@ -20,6 +20,7 @@ turn indices are injected and by which pattern:
 
 from __future__ import annotations
 
+from . import NatvarError
 from .catalog import CATALOG
 from .model import (
     Dialog,
@@ -33,7 +34,7 @@ from .model import (
 )
 
 
-class ParseError(ValueError):
+class ParseError(NatvarError):
     """Malformed corpus, prediction, or sidecar input."""
 
 

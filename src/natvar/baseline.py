@@ -27,12 +27,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from . import NatvarError
 from .babi import ParseError, decode_utf8
 from .manifest import EvalManifest, PredictionSet
 from .model import DialogCorpus, Turn
 
 
-class BaselineError(ValueError):
+class BaselineError(NatvarError):
     pass
 
 

@@ -17,35 +17,16 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__
-from .babi import ParseError
-from .baseline import BaselineError, candidates_from_corpus, load_candidates, predict
-from .catalog import CATALOG
-from .io import load_corpus, save_corpus, serialize_corpus, sha256_hex
-from .manifest import (check_corpus, export_manifest, parse_manifest, read_predictions,
-                       serialize_manifest)
-from .metrics import MetricError, compare, evaluate, read_report, render_comparison
-from .model import ModelError, mean_utterances
-from .planner import (
-    PlanConfig,
-    PlanError,
-    PlanMismatchError,
-    ShortfallError,
-    ablate,
-    config_from_dict,
-    execute,
-    overlap_histogram,
-    plan,
-    preset_config,
-    render_review,
-    sample_review,
-)
-from .recipes import InjectionError, patterns_for_dataset
-from .stats import corpus_stats, render_stats
+from . import NatvarError, __version__
+
+# Each command imports the natvar modules it runs inside its own function, so
+# a process pays the import (and, without a bytecode cache, the compile) of
+# its own path only.
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(NatvarError):
+    exit_code = 1
+    label = "usage error"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +53,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("inject", help="apply a full injection plan to a test corpus")
     add_corpus_args(sp)
     add_plan_args(sp)
-    sp.add_argument("--output", help="updated corpus path (stdout when absent)")
+    sp.add_argument("--output", help="updated corpus path (stdout when absent; SMD only)")
 
     sp = sub.add_parser("ablate", help="one updated corpus per single pattern")
     add_corpus_args(sp)
@@ -112,7 +93,9 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _resolve_config(args, fmt: str) -> PlanConfig:
+def _resolve_config(args, fmt: str):
+    from .planner import PlanError, config_from_dict, preset_config
+
     if args.preset:
         cfg = preset_config(args.preset, seed=args.seed,
                             allow_shortfall=args.allow_shortfall)
@@ -143,6 +126,8 @@ def _plan_dump(pln) -> bytes:
 
 
 def _inject_diagnostics(pln, updated, cfg) -> list[str]:
+    from .planner import overlap_histogram
+
     notes = []
     counts: dict[str, int] = {}
     for a in pln.assignments:
@@ -181,6 +166,9 @@ def _write_run(base, subcommand: str, config: dict, inputs: dict, seed: int | No
 
 def _save_with_manifest(corpus, out: Path) -> list[str]:
     """Write the corpus, its bAbI sidecar and OUT.manifest.tsv; returns the paths."""
+    from .io import save_corpus
+    from .manifest import export_manifest, serialize_manifest
+
     written = [str(p) for p in save_corpus(corpus, out)]
     Path(f"{out}.manifest.tsv").write_bytes(serialize_manifest(export_manifest(corpus)))
     written.append(f"{out}.manifest.tsv")
@@ -188,6 +176,12 @@ def _save_with_manifest(corpus, out: Path) -> list[str]:
 
 
 def cmd_inject(args) -> int:
+    if args.format == "babi" and not args.output:
+        raise UsageError("inject --format babi needs --output: the injection marks go to "
+                         "OUTPUT.origin and OUTPUT.manifest.tsv, not to stdout")
+    from .io import load_corpus, serialize_corpus, sha256_hex
+    from .planner import execute, plan
+
     corpus = load_corpus(args.input, args.format)
     cfg = _resolve_config(args, args.format)
     pln = plan(corpus, cfg)
@@ -208,6 +202,11 @@ def cmd_inject(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    from .io import load_corpus, sha256_hex
+    from .model import mean_utterances
+    from .planner import ablate
+    from .recipes import patterns_for_dataset
+
     corpus = load_corpus(args.input, args.format)
     cfg = _resolve_config(args, args.format)
     if args.all:
@@ -228,6 +227,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .io import load_corpus
+    from .stats import corpus_stats, render_stats
+
     corpus = load_corpus(args.input, args.format)
     text = render_stats(corpus_stats(corpus))
     if args.output:
@@ -238,6 +240,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .io import load_corpus, sha256_hex
+    from .manifest import check_corpus, parse_manifest, read_predictions
+    from .metrics import compare, evaluate, read_report, render_comparison
+
     corpus = load_corpus(args.corpus, args.format)
     manifest_bytes = Path(args.manifest).read_bytes()
     manifest = parse_manifest(manifest_bytes)
@@ -264,6 +270,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_review(args) -> int:
+    from .io import load_corpus, sha256_hex
+    from .planner import render_review, sample_review
+
     corpus = load_corpus(args.input, args.format)
     sheet = sample_review(corpus, args.fraction, args.seed)
     text = render_review(sheet, corpus)
@@ -277,6 +286,10 @@ def cmd_review(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from .baseline import candidates_from_corpus, load_candidates, predict
+    from .io import load_corpus, sha256_hex
+    from .manifest import export_manifest, parse_manifest
+
     corpus = load_corpus(args.corpus, args.format)
     if args.candidates:
         candidates = load_candidates(Path(args.candidates).read_bytes())
@@ -296,6 +309,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_patterns(args) -> int:
+    from .catalog import CATALOG
+
     rows = [f"{'code':<8}{'class':<7}{'recipe':<8}name"]
     for e in CATALOG:
         rows.append(f"{e.code:<8}{e.klass:<7}{'yes' if e.has_recipe else '-':<8}{e.name}")
@@ -319,22 +334,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.cmd](args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 1
-    except ShortfallError as e:
-        print(f"plan shortfall: {e}", file=sys.stderr)
-        return 3
-    except PlanMismatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except PlanError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ParseError, MetricError, ModelError, BaselineError, InjectionError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except (NatvarError, OSError) as e:
+        kind = type(e) if isinstance(e, NatvarError) else NatvarError
+        print(f"{kind.label}: {e}", file=sys.stderr)
+        if isinstance(e, UsageError):
+            parser.print_usage(sys.stderr)
+        return kind.exit_code
 
 
 if __name__ == "__main__":

@@ -24,12 +24,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from . import NatvarError
 from .babi import ParseError, decode_utf8
 from .manifest import EvalManifest, PredictionSet
 from .model import DialogCorpus, entities_in
 
 
-class MetricError(ValueError):
+class MetricError(NatvarError):
     """Misaligned predictions or unusable metric inputs."""
 
 
@@ -136,7 +137,10 @@ def finalize(rows: Iterable[list[int]], n_dialogs: int = 0) -> tuple[float, floa
     pred_len, gold_len, tp, fp, fn, responses, correct, dialogs, ok_dialogs = total[8:]
     bleu = 0.0
     if pred_len and 0 not in matches:
-        log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / 4
+        p1, p2, p3, p4 = (math.log(m / t) for m, t in zip(matches, totals))
+        # Added left to right: from Python 3.12 on, `sum` of floats is
+        # compensated and rounds differently, which would change the report.
+        log_precision = (p1 + p2 + p3 + p4) / 4
         bp = 1.0 if pred_len > gold_len else math.exp(1 - gold_len / pred_len)
         bleu = 100.0 * bp * math.exp(log_precision)
     f1 = 2 * tp / (2 * tp + fp + fn) if tp or fn else 0.0

@@ -17,6 +17,8 @@ import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
+from . import NatvarError
+
 
 class Speaker(str, Enum):
     USER = "user"
@@ -27,7 +29,7 @@ class Speaker(str, Enum):
 DOMAINS = ("schedule", "weather", "navigate", "restaurant")
 
 
-class ModelError(ValueError):
+class ModelError(NatvarError):
     """Invalid dialog structure or invalid operation input."""
 
 

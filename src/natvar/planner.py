@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass, fields, replace
 
+from . import NatvarError
 from .model import Dialog, DialogCorpus, content_digest
 from .recipes import (
     RECIPES,
@@ -33,16 +34,23 @@ from .recipes import (
 )
 
 
-class PlanError(ValueError):
+class PlanError(NatvarError):
     """Invalid plan configuration or plan/corpus mismatch."""
+
+    exit_code = 1
 
 
 class PlanMismatchError(PlanError):
     """A plan applied to a corpus or config it was not made for."""
 
+    exit_code = 2
+
 
 class ShortfallError(PlanError):
     """Eligibility below target for one or more patterns."""
+
+    exit_code = 3
+    label = "plan shortfall"
 
     def __init__(self, shortfalls: list[tuple[str, int, int]]):
         self.shortfalls = shortfalls

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
+from . import NatvarError
 from .babi import BABI_SLOT_VALUES, slot_for_question
 from .model import (
     Dialog,
@@ -84,7 +85,7 @@ class Anchor:
         return dict(self.bound)
 
 
-class InjectionError(ValueError):
+class InjectionError(NatvarError):
     """Invalid anchor, missing slot binding, or re-applied pattern."""
 
 

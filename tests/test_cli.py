@@ -4,18 +4,28 @@ stderr and the code the module docstring assigns, never a traceback."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natvar import cli, manifest as nman
-from natvar.babi import serialize_origin_sidecar
+from natvar.babi import ParseError, serialize_origin_sidecar
+from natvar.baseline import BaselineError
 from natvar.io import load_corpus, parse_corpus, serialize_corpus
 from natvar.manifest import export_manifest, read_predictions, serialize_manifest
-from natvar.metrics import evaluate
-from natvar.planner import PlanError, PlanMismatchError, config_from_dict, execute, plan
+from natvar.metrics import MetricError, evaluate
+from natvar.model import ModelError
+from natvar.planner import (PlanError, PlanMismatchError, ShortfallError, config_from_dict,
+                            execute, plan)
+from natvar.recipes import InjectionError
 from natvar.synthetic import make_babi_bytes, make_smd_bytes
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(capsys, argv):
@@ -93,6 +103,19 @@ def test_exclusive_options_need_exactly_one(capsys, tmp_path, smd_file, cmd, opt
     assert code == 1
     assert lines[0].startswith("usage error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_babi_inject_to_stdout_is_a_usage_error(capsys, tmp_path):
+    # bAbI text has no place for the injection marks: without --output they
+    # would be lost and the updated corpus would read back as pristine.
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(make_babi_bytes(n_dialogs=2))
+    code, lines = _run(capsys, ["inject", "--input", path, "--format", "babi", "--preset",
+                                "babi-table1", "--allow-shortfall"])
+    assert code == 1
+    assert lines[0].startswith("usage error: inject --format babi needs --output")
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt"]
 
 
 def test_non_utf8_babi_corpus_is_a_parse_error(capsys, tmp_path):
@@ -233,13 +256,63 @@ def test_non_utf8_candidate_file_is_a_parse_error(capsys, tmp_path, smd_file):
 
 
 @pytest.mark.parametrize("error, code", [(PlanMismatchError("plan/corpus mismatch"), 2),
-                                         (PlanError("bad target"), 1)])
+                                         (PlanError("bad target"), 1),
+                                         (ShortfallError([("example_request", 5, 2)]), 3),
+                                         (ParseError("bad line"), 2),
+                                         (MetricError("misaligned"), 2),
+                                         (ModelError("bad turn"), 2),
+                                         (BaselineError("no candidates"), 2),
+                                         (InjectionError("bad anchor"), 2),
+                                         (OSError("disk full"), 2)])
 def test_plan_errors_map_by_type(capsys, monkeypatch, error, code):
     def fail(args):
         raise error
 
     monkeypatch.setitem(cli._COMMANDS, "patterns", fail)
-    assert _run(capsys, ["patterns"]) == (code, [f"error: {error}"])
+    prefix = "plan shortfall" if code == 3 else "error"
+    assert _run(capsys, ["patterns"]) == (code, [f"{prefix}: {error}"])
+
+
+def test_other_exceptions_propagate(monkeypatch):
+    def fail(args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "patterns", fail)
+    with pytest.raises(RuntimeError, match="a bug"):
+        cli.main(["patterns"])
+
+
+_REPORT_MODULES = """
+import json, sys
+from natvar import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("natvar."))]))
+"""
+
+
+@pytest.mark.parametrize("cmd, unused", [
+    ("eval", {"planner", "recipes", "phrasebank", "stats", "baseline"}),
+    ("baseline", {"planner", "recipes", "phrasebank", "stats", "metrics"}),
+    ("inject", {"metrics", "baseline"}),
+], ids=["eval", "baseline", "inject"])
+def test_each_command_imports_only_its_own_modules(tmp_path, cmd, unused):
+    corpus, manifest, preds = _eval_inputs(tmp_path, seed=1, n_dialogs=3)
+    argv = {
+        "eval": ["eval", "--predictions", preds, "--manifest", manifest, "--corpus", corpus,
+                 "--format", "babi", "--output", tmp_path / "eval"],
+        "baseline": ["baseline", "--corpus", corpus, "--format", "babi", "--manifest", manifest,
+                     "--out", tmp_path / "baseline.txt"],
+        "inject": ["inject", "--input", corpus, "--format", "babi", "--preset", "babi-table1",
+                   "--allow-shortfall", "--output", tmp_path / "updated.txt"],
+    }[cmd]
+    # A fresh interpreter: this one has imported every module already.
+    proc = subprocess.run([sys.executable, "-c", _REPORT_MODULES, *map(str, argv)],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert not unused & {m.removeprefix("natvar.") for m in loaded}
 
 
 # --- fuzzing ------------------------------------------------------------------

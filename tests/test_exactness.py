@@ -95,9 +95,11 @@ def reference_corpus_bleu(pred_sents, gold_sents):
             totals[n - 1] += max(0, len(p) - n + 1)
     if pred_len == 0 or any(m == 0 for m in matches):
         return 0.0
-    log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / 4
+    log_precision = 0.0
+    for m, t in zip(matches, totals):  # left to right: `sum` of floats is compensated from 3.12
+        log_precision += math.log(m / t)
     bp = 1.0 if pred_len > gold_len else math.exp(1 - gold_len / pred_len)
-    return 100.0 * bp * math.exp(log_precision)
+    return 100.0 * bp * math.exp(log_precision / 4)
 
 
 def reference_entity_f1(pred_sents, manifest, corpus, scope):
