@@ -24,6 +24,7 @@ and tie-breaks are bit-identical to ranking every candidate with `score`.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -47,20 +48,13 @@ class CandidateSet:
 
 
 def load_candidates(data: bytes) -> CandidateSet:
-    """One candidate per line; a leading integer token (bAbI candidate
-    file numbering) is stripped. Deduplicated keeping first occurrence."""
-    seen = set()
-    out = []
-    for line in decode_utf8(data, "candidate file").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        if head.isdigit() and rest:
-            line = rest
-        if line not in seen:
-            seen.add(line)
-            out.append(line)
+    """One candidate per line, deduplicated keeping first occurrence. The bAbI
+    numbering, an ASCII-decimal token and a space before every non-empty line,
+    is stripped; any other file is kept verbatim, real leading numbers too."""
+    lines = [line.strip() for line in decode_utf8(data, "candidate file").splitlines() if line.strip()]
+    if all(re.match(r"[0-9]+ ", line) for line in lines):
+        lines = [line.partition(" ")[2] for line in lines]
+    out = list(dict.fromkeys(lines))
     if not out:
         raise ParseError("candidate file contains no candidates")
     return CandidateSet(tuple(out))
@@ -78,6 +72,14 @@ def candidates_from_corpus(corpus: DialogCorpus) -> CandidateSet:
     return CandidateSet(tuple(out))
 
 
+def _sum_in_order(values) -> float:
+    """`sum` added left to right: from Python 3.12 `sum` compensates floats, which can turn a tie."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class TfIdfScorer:
     """idf weights come from the candidate set; history/candidate vectors
     use raw term frequency times idf."""
@@ -93,7 +95,7 @@ class TfIdfScorer:
             df.update(set(toks))
         self._idf = {t: math.log(n / c) + 1.0 for t, c in df.items()}
         self._cand_vectors = [self._vector(toks) for toks in cand_tokens]
-        self._cand_norms = [math.sqrt(sum(w * w for w in c.values())) for c in self._cand_vectors]
+        self._cand_norms = [math.sqrt(_sum_in_order(w * w for w in c.values())) for c in self._cand_vectors]
         self._postings: dict[str, list[tuple[int, float]]] = {}
         for i, c in enumerate(self._cand_vectors):
             for t, w in c.items():
@@ -116,11 +118,11 @@ class TfIdfScorer:
         c = self._cand_vectors[candidate_index]
         if not h or not c:
             return 0.0
-        dot = sum(w * c[t] for t, w in h.items() if t in c)
+        dot = _sum_in_order(w * c[t] for t, w in h.items() if t in c)
         if dot == 0.0:
             return 0.0
-        nh = math.sqrt(sum(w * w for w in h.values()))
-        nc = math.sqrt(sum(w * w for w in c.values()))
+        nh = math.sqrt(_sum_in_order(w * w for w in h.values()))
+        nc = math.sqrt(_sum_in_order(w * w for w in c.values()))
         return dot / (nh * nc)
 
     def add_turn(self, bag: Counter, turn: Turn) -> None:
@@ -146,7 +148,7 @@ class TfIdfScorer:
                 dots[i] = dots.get(i, 0) + w * cw
         if not dots:
             return 0
-        nh = math.sqrt(sum(w * w for _, w in h))
+        nh = math.sqrt(_sum_in_order(w * w for _, w in h))
         best_i, best_s = 0, 0.0
         for i, dot in dots.items():
             s = dot / (nh * self._cand_norms[i])

@@ -7,7 +7,6 @@ from pathlib import Path
 
 from .babi import parse_babi, serialize_babi, serialize_origin_sidecar
 from .model import DialogCorpus
-from .smd import parse_smd, serialize_smd
 
 FORMATS = ("babi", "smd")
 
@@ -20,6 +19,7 @@ def parse_corpus(data: bytes, fmt: str, origin_sidecar: bytes | None = None) -> 
     if fmt == "babi":
         return parse_babi(data, origin_sidecar)
     if fmt == "smd":
+        from .smd import parse_smd  # only SMD input compiles the SMD parser
         return parse_smd(data)
     raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
 
@@ -27,6 +27,7 @@ def parse_corpus(data: bytes, fmt: str, origin_sidecar: bytes | None = None) -> 
 def serialize_corpus(corpus: DialogCorpus) -> bytes:
     if corpus.source_format == "babi":
         return serialize_babi(corpus)
+    from .smd import serialize_smd
     return serialize_smd(corpus)
 
 

@@ -2,12 +2,14 @@
 
 All four measures score only the agent responses listed in the manifest,
 i.e. the ones present in the source test set; injected responses are never
-scored. Each is a closed function of integer sums: one walk over the
-manifest gives every dialog a `ROW` of counts (BLEU n-gram matches and
-totals for orders 1-4 and the predicted and gold lengths; entity tp, fp and
-fn; responses, correct responses, and whether every response is correct),
-and `finalize` turns the sum of any rows into the four floats, so the sums
-over a partition of the dialogs add up to the aggregate. BLEU is
+scored. Each is a closed function of integer sums. A manifest entry's
+entry row is a `ROW` of counts: BLEU clipped n-gram matches and totals for
+orders 1-4, predicted and gold lengths, entity tp, fp and fn, one response
+and whether it is correct. One walk scores each distinct (prediction, gold,
+lexicon) key once, in a memo local to the call; a dialog's row sums its
+entry rows, plus `dialogs` and `ok_dialogs` (all correct). `finalize` turns
+the sum of any rows into the four floats, so the sums over a partition of
+the dialogs add up to the aggregate. BLEU is
 corpus-level with uniform weights, the standard brevity penalty and no
 smoothing: a zero match count at any order gives BLEU 0. Entity F1 is
 micro-averaged against a KB-derived entity lexicon. A response is correct
@@ -20,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -77,55 +78,70 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-#: Fields of a per-dialog stats row, in order.
+#: Fields of an entry or a per-dialog stats row, in order.
 ROW = ("match1", "match2", "match3", "match4", "total1", "total2", "total3", "total4",
        "pred_len", "gold_len", "tp", "fp", "fn", "responses", "correct", "dialogs", "ok_dialogs")
 _PRED_LEN, _GOLD_LEN, _TP, _FP, _FN, _RESPONSES, _CORRECT, _DIALOGS, _OK_DIALOGS = range(8, len(ROW))
 
 
+def _entry_row(pred: str, gold: str, lexicon: frozenset[str] | None) -> list[int]:
+    """One manifest entry's `ROW`, `dialogs` and `ok_dialogs` 0. Order n+1 n-grams are
+    `zip`ped from order n; a prediction that tokenizes as its gold matches all its n-grams."""
+    row = [0] * len(ROW)
+    p, g = pred.lower().split(), gold.lower().split()
+    row[_PRED_LEN], row[_GOLD_LEN], row[_RESPONSES] = len(p), len(g), 1
+    row[4:8] = (max(0, len(p) - n) for n in range(4))
+    if p == g:
+        row[_CORRECT] = 1
+        row[:4] = row[4:8]
+    else:
+        pgrams, ggrams = p, g
+        for n in range(4):
+            if n:
+                if not row[n - 1]:
+                    break  # no shorter n-gram matches, so no longer one does
+                pgrams = list(zip(pgrams, p[n:]))
+                ggrams = list(zip(ggrams, g[n:]))
+            left: dict = {}  # gold n-gram counts; each predicted match uses one up
+            for gram in ggrams:
+                left[gram] = left.get(gram, 0) + 1
+            for gram in pgrams:
+                if left.get(gram):
+                    left[gram] -= 1
+                    row[n] += 1
+    if lexicon:
+        # Entities are matched on lowercased tokens: a correct prediction has the gold's.
+        gold_set = entities_in(gold, lexicon)
+        pred_set = gold_set if row[_CORRECT] else entities_in(pred, lexicon)
+        tp = len(gold_set & pred_set)
+        row[_TP], row[_FP], row[_FN] = tp, len(pred_set) - tp, len(gold_set) - tp
+    return row
+
+
 def dialog_stats(preds: PredictionSet, manifest: EvalManifest,
                  lexicon_of: Callable[[str], frozenset[str] | None] | None = None) -> dict[str, list[int]]:
-    """Dialog id -> its `ROW`, in manifest first-appearance order.
+    """Dialog id -> its `ROW`, in manifest first-appearance order: the sum of
+    its entry rows, scored once per distinct (prediction, gold, lexicon) key
+    in this call, with `dialogs` 1 and `ok_dialogs` 1 when all are correct.
 
     Entities are matched against `lexicon_of(dialog_id)`; with no lexicon,
-    tp, fp and fn stay 0. Order n+1 n-grams are `zip`ped from order n, and
-    a prediction that tokenizes as its gold matches all its n-grams.
+    tp, fp and fn stay 0. The key holds the lexicon because per-dialog KBs
+    score one pair differently in different dialogs.
     """
     if preds.manifest_digest != manifest.digest() or len(preds.responses) != len(manifest.entries):
         raise MetricError("predictions are not aligned to this manifest (digest or count mismatch)")
-    rows: dict[str, list[int]] = {}
+    entry_rows: dict[tuple, list[int]] = {}
+    by_dialog: dict[str, list[list[int]]] = {}
     for pred, entry in zip(preds.responses, manifest.entries):
-        row = rows.get(entry.dialog_id)
-        if row is None:
-            row = rows[entry.dialog_id] = [0] * len(ROW)
-            row[_DIALOGS] = row[_OK_DIALOGS] = 1
-        p = pred.lower().split()
-        g = entry.gold_text.lower().split()
-        row[_PRED_LEN] += len(p)
-        row[_GOLD_LEN] += len(g)
-        row[_RESPONSES] += 1
-        if p == g:
-            row[_CORRECT] += 1
-            for n in range(min(4, len(p))):
-                row[n] += len(p) - n
-                row[4 + n] += len(p) - n
-        else:
-            row[_OK_DIALOGS] = 0
-            pgrams, ggrams = p, g
-            for n in range(4):
-                if n:
-                    pgrams = list(zip(pgrams, p[n:]))
-                    ggrams = list(zip(ggrams, g[n:]))
-                row[4 + n] += len(pgrams)
-                row[n] += sum((Counter(pgrams) & Counter(ggrams)).values())
-        lexicon = lexicon_of(entry.dialog_id) if lexicon_of else None
-        if lexicon:
-            gold_set = entities_in(entry.gold_text, lexicon)
-            pred_set = entities_in(pred, lexicon)
-            tp = len(gold_set & pred_set)
-            row[_TP] += tp
-            row[_FP] += len(pred_set) - tp
-            row[_FN] += len(gold_set) - tp
+        key = (pred, entry.gold_text, lexicon_of(entry.dialog_id) if lexicon_of else None)
+        entry_row = entry_rows.get(key)
+        if entry_row is None:
+            entry_row = entry_rows[key] = _entry_row(*key)
+        by_dialog.setdefault(entry.dialog_id, []).append(entry_row)
+    rows = {}
+    for dialog_id, dialog_entries in by_dialog.items():
+        row = rows[dialog_id] = list(map(sum, zip(*dialog_entries)))
+        row[_DIALOGS], row[_OK_DIALOGS] = 1, int(row[_CORRECT] == row[_RESPONSES])
     return rows
 
 

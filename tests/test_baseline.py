@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -28,6 +29,22 @@ class TestLoadCandidates:
     def test_strips_babi_numbering(self):
         cs = load_candidates(b"1 hello there\n1 what can i do\n")
         assert cs.responses == ("hello there", "what can i do")
+
+    def test_strips_multi_digit_numbering(self):
+        cs = load_candidates(b"9 a b\n10 c d\n\n 11 e \n")
+        assert cs.responses == ("a b", "c d", "e")
+
+    @pytest.mark.parametrize("data, expected", [
+        # A real leading number in an unnumbered file.
+        (b"7 pm works for me\nsee you then\n", ("7 pm works for me", "see you then")),
+        # `str.isdigit` accepts a superscript; the numbering is ASCII only.
+        ("\u00b2 x\n\u00b3 y\n".encode(), ("\u00b2 x", "\u00b3 y")),
+        # One line without a number: the file is not numbered.
+        (b"1 hello there\nhow are you\n", ("1 hello there", "how are you")),
+        (b"12\n13\n", ("12", "13")),
+    ])
+    def test_unnumbered_file_kept_verbatim(self, data, expected):
+        assert load_candidates(data).responses == expected
 
     def test_dedup_keeps_first(self):
         cs = load_candidates(b"a b\nc d\na b\n")
@@ -89,6 +106,57 @@ class TestScore:
         mine = [scorer.score(history, i) for i in range(n)]
         assert mine == pytest.approx(brute, abs=1e-12)
         assert max(range(n), key=lambda i: mine[i]) == 2
+
+
+def _left_to_right(xs):
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def _compensated(xs):
+    """How `sum` adds floats from Python 3.12 on (Neumaier's compensation)."""
+    total = comp = 0.0
+    for x in xs:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp else total
+
+
+class TestFloatSumsAddLeftToRight:
+    """The scorer adds its dot products and norms left to right, so a score,
+    and so a tie, is the same on every supported Python. On these weights a
+    compensated `sum` gives a different last bit, so these tests fail on
+    3.12 and later if `sum` of floats comes back."""
+
+    CANDIDATES = ("g a", "a g g c b", "a g e b")
+    HISTORY = "c a b b"
+
+    def _vector(self, text):
+        docs = [c.split() for c in self.CANDIDATES]
+        tf = Counter(t for t in text.split() if any(t in d for d in docs))
+        return {t: n * (math.log(len(docs) / sum(t in d for d in docs)) + 1.0)
+                for t, n in tf.items()}
+
+    def test_candidate_norm(self):
+        squares = [w * w for w in self._vector(self.CANDIDATES[1]).values()]
+        expected = math.sqrt(_left_to_right(squares))
+        assert math.sqrt(_compensated(squares)) != expected
+        assert TfIdfScorer(CandidateSet(self.CANDIDATES))._cand_norms[1] == expected
+
+    def test_score(self):
+        h, c = self._vector(self.HISTORY), self._vector(self.CANDIDATES[1])
+        products = [w * c[t] for t, w in h.items() if t in c]
+
+        def cosine(add):
+            return add(products) / (math.sqrt(add([w * w for w in h.values()]))
+                                    * math.sqrt(add([w * w for w in c.values()])))
+
+        assert cosine(_compensated) != cosine(_left_to_right)
+        scorer = TfIdfScorer(CandidateSet(self.CANDIDATES))
+        assert scorer.score(_history(self.HISTORY), 1) == cosine(_left_to_right)
 
 
 def _tiny_corpus():

@@ -291,9 +291,9 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("natvar.")
 
 
 @pytest.mark.parametrize("cmd, unused", [
-    ("eval", {"planner", "recipes", "phrasebank", "stats", "baseline"}),
-    ("baseline", {"planner", "recipes", "phrasebank", "stats", "metrics"}),
-    ("inject", {"metrics", "baseline"}),
+    ("eval", {"planner", "recipes", "phrasebank", "stats", "baseline", "smd"}),
+    ("baseline", {"planner", "recipes", "phrasebank", "stats", "metrics", "smd"}),
+    ("inject", {"metrics", "baseline", "smd"}),
 ], ids=["eval", "baseline", "inject"])
 def test_each_command_imports_only_its_own_modules(tmp_path, cmd, unused):
     corpus, manifest, preds = _eval_inputs(tmp_path, seed=1, n_dialogs=3)

@@ -6,7 +6,8 @@ behaviour: the entity matcher that joins up to `max_span` tokens at every
 start, the regular-expression entity normalizer, corpus BLEU with one
 `Counter` per order built from slices, and the separate manifest walks of
 entity F1 and response accuracy. The library forms must return the same
-values, compared with `==`.
+values, compared with `==`, also where the metric walk reuses the row of a
+(prediction, gold, lexicon) key it has scored before.
 """
 
 import math
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from natvar import metrics
 from natvar.manifest import EvalManifest, ManifestEntry, PredictionSet
 from natvar.metrics import (
     ROW,
@@ -218,6 +220,8 @@ class TestCorpusBleuExact:
     @example((["a b c d e", "a b"], ["a b c d e", "a b"]))
     @example((["a b c", "d"], ["a b c", "c d"]))
     @example((["a a a a", "b"], ["a a", "b"]))
+    # Every order has a match and a predicted n-gram beyond the gold's count.
+    @example((["a b c d a b c d", "a b c d a b c d"], ["a b c d e", "a b c d e"]))
     def test_same_as_counter_form(self, pair):
         preds, golds = pair
         assert _bleu(preds, golds) == reference_corpus_bleu(preds, golds)
@@ -250,25 +254,47 @@ def _evaluations(draw):
     return corpus, manifest, preds
 
 
+@st.composite
+def _repeated_evaluations(draw):
+    """`_evaluations` whose manifest is redrawn from its own (gold,
+    prediction) pairs into random dialogs, so pairs repeat within and across
+    dialogs, and across dialogs with different KB lexicons."""
+    corpus, manifest, preds = draw(_evaluations())
+    pairs = [(e.gold_text, p) for e, p in zip(manifest.entries, preds)]
+    if not pairs:
+        return corpus, manifest, preds
+    rows = draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(pairs)), max_size=12))
+    manifest = EvalManifest(tuple(ManifestEntry(f"d{d}", 1, g) for d, (g, _) in rows), "t")
+    return corpus, manifest, [p for _, (_, p) in rows]
+
+
+def _assert_same_as_separate_walks(corpus, manifest, preds, scope, n_dialogs):
+    ps = PredictionSet(tuple(preds), manifest.digest())
+    golds = [e.gold_text for e in manifest.entries]
+    bleu = reference_corpus_bleu(preds, golds)
+    f1 = reference_entity_f1(preds, manifest, corpus, scope)
+    assert corpus_bleu(ps, manifest) == bleu
+    assert entity_f1(ps, manifest, corpus, scope) == f1
+    for n in (None, n_dialogs):
+        assert response_accuracy(ps, manifest, n) == reference_response_accuracy(
+            preds, manifest, n)
+    report = evaluate(ps, manifest, corpus, scope)
+    assert (report.bleu, report.entity_f1, report.per_response_acc, report.per_dialog_acc) \
+        == (bleu, f1, *reference_response_accuracy(preds, manifest, len(corpus.dialogs)))
+
+
 class TestMetricWalkExact:
     @settings(max_examples=150, deadline=None)
     @given(_evaluations(), st.sampled_from(["global", "dialog"]), st.integers(0, 8))
     @example((DialogCorpus(dialogs=(), source_format="smd", global_entities=frozenset({"a"})),
               EvalManifest((), "t"), []), "global", 3)
     def test_same_as_separate_walks(self, evaluation, scope, n_dialogs):
-        corpus, manifest, preds = evaluation
-        ps = PredictionSet(tuple(preds), manifest.digest())
-        golds = [e.gold_text for e in manifest.entries]
-        bleu = reference_corpus_bleu(preds, golds)
-        f1 = reference_entity_f1(preds, manifest, corpus, scope)
-        assert corpus_bleu(ps, manifest) == bleu
-        assert entity_f1(ps, manifest, corpus, scope) == f1
-        for n in (None, n_dialogs):
-            assert response_accuracy(ps, manifest, n) == reference_response_accuracy(
-                preds, manifest, n)
-        report = evaluate(ps, manifest, corpus, scope)
-        assert (report.bleu, report.entity_f1, report.per_response_acc, report.per_dialog_acc) \
-            == (bleu, f1, *reference_response_accuracy(preds, manifest, len(corpus.dialogs)))
+        _assert_same_as_separate_walks(*evaluation, scope, n_dialogs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_repeated_evaluations(), st.sampled_from(["global", "dialog"]), st.integers(0, 8))
+    def test_repeated_pairs_same_as_separate_walks(self, evaluation, scope, n_dialogs):
+        _assert_same_as_separate_walks(*evaluation, scope, n_dialogs)
 
     @settings(max_examples=100, deadline=None)
     @given(_evaluations(), st.lists(st.integers(0, 2), min_size=6, max_size=6))
@@ -290,3 +316,60 @@ class TestMetricWalkExact:
         total = [sum(column) for column in zip(*rows.values())] or [0] * len(ROW)
         assert [sum(column) for column in zip(*sums)] == total
         assert finalize(sums) == finalize([total]) == finalize(rows.values())
+
+
+# --- entry rows: one per distinct (prediction, gold, lexicon) key ---------------
+
+def _kb_dialog(dialog_id, entities):
+    return Dialog(id=dialog_id, domain="navigate",
+                  turns=(Turn(Speaker.USER, "hi"), Turn(Speaker.AGENT, "ok")),
+                  kb=KbRecord(entries=tuple((e, "is", e) for e in sorted(entities))))
+
+
+class TestEntryRowsExact:
+    """d0 and d1 have equal KB lexicons and d2 a different one. The pair
+    ("a x a", "a b b") repeats within d0 and across all three dialogs; under
+    d2's lexicon it scores a miss, under the others a hit. "a b c d a b c d"
+    repeats an n-gram of every order beyond its gold's count."""
+
+    CORPUS = DialogCorpus(
+        dialogs=(_kb_dialog("d0", {"a"}), _kb_dialog("d1", {"a"}), _kb_dialog("d2", {"b", "x"})),
+        source_format="smd", global_entities=frozenset({"a", "b"}))
+    ENTRIES = (("d0", "a b b", "a x a"), ("d0", "a b b", "a x a"), ("d1", "a b b", "a x a"),
+               ("d2", "a b b", "a x a"), ("d2", "c", "c"), ("d0", "a b c d e", "a b c d a b c d"),
+               ("d1", "a b c d e", "a b c d a b c d"), ("d1", "a b b", "a x a"))
+
+    @staticmethod
+    def _inputs(entries):
+        manifest = EvalManifest(tuple(ManifestEntry(d, 1, g) for d, g, _ in entries), "t")
+        return manifest, [p for _, _, p in entries]
+
+    @pytest.mark.parametrize("scope", ["global", "dialog"])
+    def test_same_as_separate_walks(self, scope):
+        _assert_same_as_separate_walks(self.CORPUS, *self._inputs(self.ENTRIES), scope, 3)
+
+    @pytest.mark.parametrize("scope", ["global", "dialog"])
+    def test_each_dialog_row_same_as_its_own_walk(self, scope):
+        lexicons = {d.id: d.entity_lexicon() for d in self.CORPUS.dialogs}
+        lexicon_of = lexicons.get if scope == "dialog" else lambda _: self.CORPUS.global_entities
+        manifest, preds = self._inputs(self.ENTRIES)
+        rows = dialog_stats(PredictionSet(tuple(preds), manifest.digest()), manifest, lexicon_of)
+        assert list(rows) == ["d0", "d1", "d2"]
+        for dialog_id, row in rows.items():
+            part, part_preds = self._inputs([e for e in self.ENTRIES if e[0] == dialog_id])
+            bleu, f1, per_response, per_dialog = finalize([row])
+            assert bleu == reference_corpus_bleu(part_preds, [e.gold_text for e in part.entries])
+            assert f1 == reference_entity_f1(part_preds, part, self.CORPUS, scope)
+            assert (per_response, per_dialog) == reference_response_accuracy(part_preds, part)
+            assert (row[ROW.index("dialogs")], row[ROW.index("responses")]) == (1, len(part.entries))
+
+    def test_each_distinct_key_scored_once(self, monkeypatch):
+        keys = []
+        entry_row = metrics._entry_row
+        monkeypatch.setattr(metrics, "_entry_row", lambda *key: keys.append(key) or entry_row(*key))
+        manifest, preds = self._inputs(self.ENTRIES)
+        evaluate(PredictionSet(tuple(preds), manifest.digest()), manifest, self.CORPUS, "dialog")
+        # d0 and d1 share rows (equal lexicons, distinct objects); d2 does not.
+        assert [(p, g, sorted(lexicon)) for p, g, lexicon in keys] == [
+            ("a x a", "a b b", ["a"]), ("a x a", "a b b", ["b", "x"]), ("c", "c", ["b", "x"]),
+            ("a b c d a b c d", "a b c d e", ["a"])]
