@@ -105,7 +105,15 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     the listed turn indices are restored as injected turns; a sidecar entry
     for a dialog or turn the file does not have, or naming a pattern with no
     recipe, raises ParseError. A block's lines are read in one pass, then
-    each `Turn` is built once with its final origin and annotations.
+    each `Turn` is built with its final origin and annotations.
+
+    Task-5 dialogs come from fixed simulator templates, so most line bodies
+    and turns recur across dialogs. One call keeps a memo of them: each
+    distinct body (the text after a line's index) is split and validated
+    once, equal turns are one shared `Turn`, and each distinct user text is
+    tokenized once. Only successful parses enter it, so every error names its
+    own line, and each line's index is checked on its own. The memo dies
+    with the call.
     """
     text = decode_utf8(data, "bAbI file").replace("\r\n", "\n").replace("\r", "\n")
     blocks: list[list[tuple[int, str]]] = [[]]
@@ -120,10 +128,11 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
 
     injected = _parse_sidecar(origin_sidecar) if origin_sidecar else {}
 
+    seen = _Seen()
     dialogs = []
     for idx, block in enumerate(blocks):
         dialog_id = f"babi-{idx}"
-        dialogs.append(_parse_block(block, dialog_id, injected.pop(dialog_id, {})))
+        dialogs.append(_parse_block(block, dialog_id, injected.pop(dialog_id, {}), seen))
     if injected:
         raise ParseError(f"sidecar names a dialog the corpus does not have: {next(iter(injected))}")
 
@@ -136,10 +145,61 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     )
 
 
-def _parse_block(block, dialog_id: str, injected_turns: dict[int, str]) -> Dialog:
-    pairs: list[tuple[str, str]] = []
-    # (subject, attribute, value, index of the utterance line the fact precedes)
-    facts: list[tuple[str, str, str, int]] = []
+class _Seen:
+    """What one `parse_babi` call has already built, keyed by its input."""
+
+    def __init__(self):
+        self.bodies: dict[str, tuple] = {}
+        self.turns: dict[tuple, Turn] = {}
+        self.tokens: dict[str, frozenset[str]] = {}
+
+    def turn(self, speaker: Speaker, text: str, injected_by: str | None,
+             annotations: tuple[tuple[str, str], ...]) -> Turn:
+        key = (speaker, text, injected_by, annotations)
+        t = self.turns.get(key)
+        if t is None:
+            t = self.turns[key] = Turn(speaker, text, injected_by, annotations)
+        return t
+
+    def parse_body(self, rest: str, lineno: int, line: str) -> tuple:
+        """Parse and keep the body of a line not seen before: ("utterance",
+        user text, agent text, api slots, original user turn without
+        annotations, original agent turn, user tokens) or ("fact", raw
+        triple, lowercased triple)."""
+        if "\t" in rest:
+            user_text, _, agent_text = rest.partition("\t")
+            if not user_text.strip() or not agent_text.strip():
+                raise ParseError(f"line {lineno}: empty utterance")
+            slots = _api_slots(agent_text)
+            item = ("utterance", user_text, agent_text, slots,
+                    self.turn(Speaker.USER, user_text, None, ()),
+                    self.turn(Speaker.AGENT, agent_text, None, slots),
+                    self.user_tokens(user_text))
+        else:
+            parts = rest.split()
+            if len(parts) != 3:
+                raise ParseError(
+                    f"line {lineno}: not an utterance line (no tab) and not a "
+                    f"3-token KB fact: {line!r}"
+                )
+            # Each fact component is one whitespace-free token, so lowercasing
+            # it is `normalize_entity`.
+            item = ("fact", tuple(parts), tuple(p.lower() for p in parts))
+        self.bodies[rest] = item
+        return item
+
+    def user_tokens(self, user_text: str) -> frozenset[str]:
+        toks = self.tokens.get(user_text)
+        if toks is None:
+            toks = self.tokens[user_text] = frozenset(user_text.lower().split())
+        return toks
+
+
+def _parse_block(block, dialog_id: str, injected_turns: dict[int, str], seen: _Seen) -> Dialog:
+    # utterance-line bodies, as `_Seen.parse_body` gives them
+    pairs: list[tuple] = []
+    # (raw triple, lowercased triple, index of the utterance line the fact precedes)
+    facts: list[tuple[tuple[str, str, str], tuple[str, str, str], int]] = []
     prev_index = 0
 
     for lineno, line in block:
@@ -152,19 +212,11 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str]) -> Dialo
             raise ParseError(f"line {lineno}: non-monotone line index {index}")
         prev_index = index
 
-        if "\t" in rest:
-            user_text, _, agent_text = rest.partition("\t")
-            if not user_text.strip() or not agent_text.strip():
-                raise ParseError(f"line {lineno}: empty utterance")
-            pairs.append((user_text, agent_text))
+        body = seen.bodies.get(rest) or seen.parse_body(rest, lineno, line)
+        if body[0] == "utterance":
+            pairs.append(body)
         else:
-            parts = rest.split()
-            if len(parts) != 3:
-                raise ParseError(
-                    f"line {lineno}: not an utterance line (no tab) and not a "
-                    f"3-token KB fact: {line!r}"
-                )
-            facts.append((parts[0], parts[1], parts[2], len(pairs)))
+            facts.append((body[1], body[2], len(pairs)))
 
     for i in injected_turns:
         if not 0 <= i < 2 * len(pairs):
@@ -173,44 +225,44 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str]) -> Dialo
 
     # Injected agent turns (a corrupted answer can look like an api_call)
     # contribute neither annotations nor api values.
-    agent_slots = [() if 2 * k + 1 in injected_turns else _api_slots(agent_text)
-                   for k, (_, agent_text) in enumerate(pairs)]
     api_values: dict[str, list[str]] = {}
-    for slots in agent_slots:
-        for key, val in slots:
-            api_values.setdefault(key, []).append(val)
+    for k, (_, _, _, slots, _, _, _) in enumerate(pairs):
+        if 2 * k + 1 not in injected_turns:
+            for key, val in slots:
+                api_values.setdefault(key, []).append(val)
+    any_value = frozenset(v for vals in api_values.values() for v in vals)
 
     turns: list[Turn] = []
     # ordinals[k]: original agent turns before utterance line k. A fact is
     # anchored by it, so injected agent turns do not shift the anchors.
     ordinals = [0]
-    for k, (user_text, agent_text) in enumerate(pairs):
+    for k, (_, user_text, agent_text, _, user_turn, agent_turn, toks) in enumerate(pairs):
         # Slot annotations for original user turns: per slot, the first
         # api_call value the turn mentions. Injected turns get none.
         user_by = injected_turns.get(2 * k)
-        user_annotations = []
-        if user_by is None and api_values:
-            toks = set(user_text.lower().split())
+        if user_by is not None:
+            user_turn = seen.turn(Speaker.USER, user_text, user_by, ())
+        elif not any_value.isdisjoint(toks):
+            user_annotations = []
             for key, vals in api_values.items():
                 for v in vals:
                     if v in toks:
                         user_annotations.append((key, v))
                         break
+            user_turn = seen.turn(Speaker.USER, user_text, None, tuple(user_annotations))
+        turns.append(user_turn)
         agent_by = injected_turns.get(2 * k + 1)
-        turns.append(Turn(Speaker.USER, user_text, user_by, tuple(user_annotations)))
-        turns.append(Turn(Speaker.AGENT, agent_text, agent_by, agent_slots[k]))
+        if agent_by is not None:
+            agent_turn = seen.turn(Speaker.AGENT, agent_text, agent_by, ())
+        turns.append(agent_turn)
         ordinals.append(ordinals[-1] + (agent_by is None))
 
-    kb_rows = tuple((subj, attr, val, ordinals[k]) for subj, attr, val, k in facts)
-    # Each fact component is one whitespace-free token, so lowercasing it is
-    # `normalize_entity`.
-    kb = KbRecord(entries=tuple((s.lower(), a.lower(), v.lower()) for s, a, v, _ in facts))
     return Dialog(
         id=dialog_id,
         domain="restaurant",
         turns=tuple(turns),
-        kb=kb,
-        source_info=kb_rows,
+        kb=KbRecord(entries=tuple(lower for _, lower, _ in facts)),
+        source_info=tuple((*raw, ordinals[k]) for raw, _, k in facts),
     )
 
 
@@ -258,13 +310,13 @@ def _serialize_dialog(d: Dialog) -> str:
 
 def serialize_origin_sidecar(corpus: DialogCorpus) -> bytes:
     """One line per dialog: 'dialog_id: i=pattern,j=pattern' (may be empty)."""
-    lines = []
-    for d in corpus.dialogs:
-        marks = ",".join(
-            f"{i}={t.injected_by}" for i, t in enumerate(d.turns) if t.injected_by
-        )
-        lines.append(f"{d.id}: {marks}".rstrip())
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return ("\n".join(_sidecar_line(d) for d in corpus.dialogs) + "\n").encode("utf-8")
+
+
+@memo
+def _sidecar_line(d: Dialog) -> str:
+    marks = ",".join(f"{i}={t.injected_by}" for i, t in enumerate(d.turns) if t.injected_by)
+    return f"{d.id}: {marks}".rstrip()
 
 
 def check_pattern_name(name, where: str) -> None:
@@ -275,6 +327,8 @@ def check_pattern_name(name, where: str) -> None:
 
 def _parse_sidecar(data: bytes) -> dict[str, dict[int, str]]:
     out: dict[str, dict[int, str]] = {}
+    # item text -> (turn index, pattern), filled by successful parses only
+    items: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(decode_utf8(data, "sidecar").splitlines(), start=1):
         if not line.strip():
             continue
@@ -285,14 +339,10 @@ def _parse_sidecar(data: bytes) -> dict[str, dict[int, str]]:
         rest = rest.strip()
         if rest:
             for item in rest.split(","):
-                pos, sep2, pattern = item.partition("=")
-                if not sep2:
-                    raise ParseError(f"sidecar line {lineno}: expected index=pattern, got {item!r}")
-                check_pattern_name(pattern, f"sidecar line {lineno}")
-                try:
-                    i = int(pos)
-                except ValueError:
-                    raise ParseError(f"sidecar line {lineno}: turn index {pos!r} is not an integer") from None
+                parsed = items.get(item)
+                if parsed is None:
+                    parsed = items[item] = _parse_sidecar_item(item, lineno)
+                i, pattern = parsed
                 if i in marks:
                     raise ParseError(f"sidecar line {lineno}: turn {i} is listed twice")
                 marks[i] = pattern
@@ -301,3 +351,14 @@ def _parse_sidecar(data: bytes) -> dict[str, dict[int, str]]:
             raise ParseError(f"sidecar line {lineno}: dialog {did} is listed twice")
         out[did] = marks
     return out
+
+
+def _parse_sidecar_item(item: str, lineno: int) -> tuple[int, str]:
+    pos, sep, pattern = item.partition("=")
+    if not sep:
+        raise ParseError(f"sidecar line {lineno}: expected index=pattern, got {item!r}")
+    check_pattern_name(pattern, f"sidecar line {lineno}")
+    try:
+        return int(pos), pattern
+    except ValueError:
+        raise ParseError(f"sidecar line {lineno}: turn index {pos!r} is not an integer") from None

@@ -50,10 +50,11 @@ class CandidateSet:
 def load_candidates(data: bytes) -> CandidateSet:
     """One candidate per line, deduplicated keeping first occurrence. The bAbI
     numbering, an ASCII-decimal token and a space before every non-empty line,
-    is stripped; any other file is kept verbatim, real leading numbers too."""
+    is stripped with the spaces after it; any other file is kept verbatim,
+    real leading numbers too."""
     lines = [line.strip() for line in decode_utf8(data, "candidate file").splitlines() if line.strip()]
     if all(re.match(r"[0-9]+ ", line) for line in lines):
-        lines = [line.partition(" ")[2] for line in lines]
+        lines = [line.partition(" ")[2].lstrip() for line in lines]
     out = list(dict.fromkeys(lines))
     if not out:
         raise ParseError("candidate file contains no candidates")

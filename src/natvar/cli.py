@@ -13,6 +13,7 @@ data only when --output is absent.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -331,6 +332,12 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    # The model is frozen values, tuples and strings, so a command makes no
+    # reference cycles, yet the cyclic collector's passes over the growing
+    # corpus cost about a tenth of a bAbI command, mostly during the parse.
+    # Pause it for the command and give the caller back the state it had.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.cmd](args)
@@ -340,6 +347,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(e, UsageError):
             parser.print_usage(sys.stderr)
         return kind.exit_code
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

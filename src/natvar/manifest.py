@@ -15,7 +15,7 @@ from .babi import ParseError, decode_utf8
 from .model import Dialog, DialogCorpus, Speaker, content_digest, memo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManifestEntry:
     dialog_id: str
     turn_index: int

@@ -8,7 +8,12 @@ Knowledge-base facts are context, not turns, so they live in a separate
 record attached to the dialog.
 
 All types are immutable values after construction and safe to share
-between workers.
+between workers and between dialogs: a parser may hand every equal turn
+the same `Turn` object (`parse_babi` builds one per distinct turn). The
+value types built in the largest numbers (`Turn` here, and the manifest
+entries, anchors and assignments) are slotted dataclasses, which keeps
+them small and quick to build; they carry no `memo`, which needs an
+instance `__dict__`.
 """
 
 from __future__ import annotations
@@ -146,7 +151,7 @@ def entities_in(text: str, lexicon: frozenset[str] | set[str]) -> set[str]:
     return {c for _, _, c in entity_spans(text, lexicon)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Turn:
     """One utterance. `injected_by` is None for source-corpus turns,
     otherwise the name of the pattern that introduced the turn."""
@@ -239,9 +244,6 @@ class Dialog:
     def applied_patterns(self) -> frozenset[str]:
         return frozenset(t.injected_by for t in self.turns if t.injected_by)
 
-    def original_turns(self) -> tuple[Turn, ...]:
-        return tuple(t for t in self.turns if t.is_original)
-
     def entity_lexicon(self) -> Lexicon:
         return Lexicon(self.kb.all_entities())
 
@@ -318,7 +320,11 @@ def content_digest(corpus: DialogCorpus) -> str:
     return hashlib.sha256(b"\x1e".join(_digest_payload(d) for d in corpus.dialogs)).hexdigest()
 
 
+# `Speaker.value` through a dict: the enum's value descriptor costs a call per turn.
+_SPEAKER_VALUES = {s: s.value for s in Speaker}
+
+
 @memo
 def _digest_payload(d: Dialog) -> bytes:
     return (f"{d.id}|{d.domain}|" + "\x1f".join(
-        f"{t.speaker.value}:{t.injected_by or ''}:{t.text}" for t in d.turns)).encode("utf-8")
+        f"{_SPEAKER_VALUES[t.speaker]}:{t.injected_by or ''}:{t.text}" for t in d.turns)).encode("utf-8")

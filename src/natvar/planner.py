@@ -137,7 +137,7 @@ def config_from_dict(d: dict) -> PlanConfig:
     return cfg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     dialog_id: str
     pattern: str

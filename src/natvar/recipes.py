@@ -75,7 +75,7 @@ class PatternRecipe:
                 raise ModelError(f"recipe {self.name}: template does not alternate")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Anchor:
     dialog_id: str
     turn_index: int

@@ -43,8 +43,9 @@ _SPEAKERS = {"driver": Speaker.USER, "assistant": Speaker.AGENT}
 _TAGS = {Speaker.USER: "driver", Speaker.AGENT: "assistant"}
 
 
-def _compact(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+# Compact JSON, the bytes of `json.dumps(obj, ensure_ascii=False,
+# separators=(",", ":"))` from one encoder rather than a new one per call.
+_compact = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def parse_smd(data: bytes) -> DialogCorpus:
@@ -79,6 +80,7 @@ def _parse_dialogue(el, index: int) -> Dialog:
         raise ParseError(f"dialog {index}: dialogue is not a JSON array")
 
     kb = _flatten_kb(scenario, domain, index)
+    kb_ents = kb.all_entities()
 
     turns: list[Turn] = []
     raw_originals: list[str] = []
@@ -97,7 +99,7 @@ def _parse_dialogue(el, index: int) -> Dialog:
         if obj.get("injected"):
             check_pattern_name(injected_by, f"dialog {index}: turn {j}")
         try:
-            annotations = () if injected_by else _turn_annotations(obj["data"], text, kb)
+            annotations = () if injected_by else _turn_annotations(obj["data"], text, kb_ents)
             turns.append(Turn(speaker, text, injected_by=injected_by, annotations=annotations))
         except ModelError as e:
             raise ParseError(f"dialog {index}: {e}") from e
@@ -140,12 +142,11 @@ def _flatten_kb(scenario, domain: str, index: int) -> KbRecord:
     return KbRecord(entries=tuple(entries))
 
 
-def _turn_annotations(data, text: str, kb: KbRecord) -> tuple[tuple[str, str], ...]:
+def _turn_annotations(data, text: str, kb_ents: set[str]) -> tuple[tuple[str, str], ...]:
     ann: list[tuple[str, str]] = []
     slots = data.get("slots") or {}
     if not isinstance(slots, dict):
         raise ModelError("turn slots are not a JSON object")
-    kb_ents = kb.all_entities()
     for key, val in slots.items():
         if not isinstance(val, str) or not val.strip():
             continue

@@ -62,6 +62,23 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             parse_babi(bad)
 
+    def test_repeated_body_still_gets_its_own_index_check(self):
+        # Line 3 repeats line 1's body, which the parse has already read.
+        bad = b"1 hi\thello\n2 yes\tok\n2 hi\thello\n"
+        with pytest.raises(ParseError, match="line 3: non-monotone line index 2"):
+            parse_babi(bad)
+
+    def test_equal_turns_are_one_object_within_a_parse(self):
+        a, b = parse_babi(SIMPLE + b"\n" + SIMPLE).dialogs
+        assert a == replace(b, id=a.id)
+        assert all(s is t for s, t in zip(a.turns, b.turns))
+
+    def test_parses_share_no_turn(self):
+        first, second = parse_babi(SIMPLE), parse_babi(SIMPLE)
+        assert first == second
+        seen = {id(t) for d in first.dialogs for t in d.turns}
+        assert not any(id(t) in seen for d in second.dialogs for t in d.turns)
+
     def test_malformed_line_rejected(self):
         bad = b"1 hi\thello\n2 these are five separate tokens\n"
         with pytest.raises(ParseError, match="line 2"):
@@ -85,6 +102,12 @@ class TestParse:
          "sidecar line 2: dialog babi-0 is listed twice"),
         (b"babi-0: 1=open_request_screening,1=capability_expansion\n",
          "sidecar line 1: turn 1 is listed twice"),
+        # The same item text twice: the second is read from the parse's memo.
+        (b"babi-0: 1=open_request_screening,1=open_request_screening\n",
+         "sidecar line 1: turn 1 is listed twice"),
+        (b"babi-1: 1=open_request_screening\nbabi-0: 0=open_request_screening,"
+         b"1=open_request_screening,1=open_request_screening\n",
+         "sidecar line 2: turn 1 is listed twice"),
     ])
     def test_sidecar_repeats_rejected(self, sidecar, message):
         # A later line or mark must not silently replace an earlier one.

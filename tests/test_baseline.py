@@ -34,6 +34,10 @@ class TestLoadCandidates:
         cs = load_candidates(b"9 a b\n10 c d\n\n 11 e \n")
         assert cs.responses == ("a b", "c d", "e")
 
+    def test_spaces_after_the_number_are_stripped(self):
+        # Both lines name one candidate; the first must not keep a leading space.
+        assert load_candidates(b"1  hello\n2 hello\n").responses == ("hello",)
+
     @pytest.mark.parametrize("data, expected", [
         # A real leading number in an unnumbered file.
         (b"7 pm works for me\nsee you then\n", ("7 pm works for me", "see you then")),

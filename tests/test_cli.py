@@ -2,6 +2,7 @@
 stderr and the code the module docstring assigns, never a traceback."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -280,6 +281,39 @@ def test_other_exceptions_propagate(monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "patterns", fail)
     with pytest.raises(RuntimeError, match="a bug"):
         cli.main(["patterns"])
+
+
+@pytest.mark.parametrize("argv, error, code", [
+    (["patterns"], None, 0),
+    (["no-such-command"], None, 1),
+    (["patterns"], ParseError("bad line"), 2),
+    (["patterns"], RuntimeError("a bug"), None),
+], ids=["ok", "usage", "parse", "raise"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_pauses_the_gc_and_restores_its_state(capsys, monkeypatch, argv, error, code,
+                                                   enabled):
+    inside = []
+
+    def run(args):
+        inside.append(gc.isenabled())
+        if error:
+            raise error
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "patterns", run)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(RuntimeError, match="a bug"):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == code
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is enabled
+    assert inside == ([False] if argv == ["patterns"] else [])
 
 
 _REPORT_MODULES = """

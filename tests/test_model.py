@@ -177,7 +177,7 @@ class TestDialogInvariants:
             ),
         )
         assert d.applied_patterns == {"open_request_screening"}
-        assert [t.text for t in d.original_turns()] == ["hi", "hello"]
+        assert [t.text for t in d.turns if t.is_original] == ["hi", "hello"]
 
     def test_unknown_domain(self):
         with pytest.raises(ModelError):
