@@ -20,6 +20,8 @@ turn indices are injected and by which pattern:
 
 from __future__ import annotations
 
+import functools
+
 from . import NatvarError
 from .catalog import CATALOG
 from .model import (
@@ -89,13 +91,13 @@ def slot_for_question(text: str) -> str | None:
 
 
 def _api_slots(agent_text: str) -> tuple[tuple[str, str], ...]:
-    """(`slot:<name>`, value) annotations of an api_call turn; () for any other."""
+    """(slot, value) annotations of an api_call turn; () for any other."""
     if not agent_text.startswith("api_call "):
         return ()
     args = agent_text.split()[1:]
     if len(args) != len(API_CALL_SLOTS):
         return ()
-    return tuple((f"slot:{slot}", v) for slot, v in zip(API_CALL_SLOTS, args))
+    return tuple(zip(API_CALL_SLOTS, args))
 
 
 def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus:
@@ -108,12 +110,13 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     each `Turn` is built with its final origin and annotations.
 
     Task-5 dialogs come from fixed simulator templates, so most line bodies
-    and turns recur across dialogs. One call keeps a memo of them: each
-    distinct body (the text after a line's index) is split and validated
-    once, equal turns are one shared `Turn`, and each distinct user text is
-    tokenized once. Only successful parses enter it, so every error names its
-    own line, and each line's index is checked on its own. The memo dies
-    with the call.
+    and turns recur across dialogs. `functools.cache`s made in the call
+    remember them: `turn` builds one shared `Turn` per distinct set of fields,
+    `user_tokens` one token set per distinct user text (far fewer than the
+    bodies), and `body_of` parses each distinct body (the text after a line's
+    index) once, through the other two. A cache keeps no exception, so every
+    error is raised again and named by its own line, and each line's index is
+    checked on its own. The caches die with the call.
     """
     text = decode_utf8(data, "bAbI file").replace("\r\n", "\n").replace("\r", "\n")
     blocks: list[list[tuple[int, str]]] = [[]]
@@ -128,11 +131,13 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
 
     injected = _parse_sidecar(origin_sidecar) if origin_sidecar else {}
 
-    seen = _Seen()
+    turn = functools.cache(Turn)
+    user_tokens = functools.cache(lambda text: frozenset(text.lower().split()))
+    body_of = functools.cache(functools.partial(_line_body, turn, user_tokens))
     dialogs = []
     for idx, block in enumerate(blocks):
         dialog_id = f"babi-{idx}"
-        dialogs.append(_parse_block(block, dialog_id, injected.pop(dialog_id, {}), seen))
+        dialogs.append(_parse_block(block, dialog_id, injected.pop(dialog_id, {}), turn, body_of))
     if injected:
         raise ParseError(f"sidecar names a dialog the corpus does not have: {next(iter(injected))}")
 
@@ -145,59 +150,28 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     )
 
 
-class _Seen:
-    """What one `parse_babi` call has already built, keyed by its input."""
-
-    def __init__(self):
-        self.bodies: dict[str, tuple] = {}
-        self.turns: dict[tuple, Turn] = {}
-        self.tokens: dict[str, frozenset[str]] = {}
-
-    def turn(self, speaker: Speaker, text: str, injected_by: str | None,
-             annotations: tuple[tuple[str, str], ...]) -> Turn:
-        key = (speaker, text, injected_by, annotations)
-        t = self.turns.get(key)
-        if t is None:
-            t = self.turns[key] = Turn(speaker, text, injected_by, annotations)
-        return t
-
-    def parse_body(self, rest: str, lineno: int, line: str) -> tuple:
-        """Parse and keep the body of a line not seen before: ("utterance",
-        user text, agent text, api slots, original user turn without
-        annotations, original agent turn, user tokens) or ("fact", raw
-        triple, lowercased triple)."""
-        if "\t" in rest:
-            user_text, _, agent_text = rest.partition("\t")
-            if not user_text.strip() or not agent_text.strip():
-                raise ParseError(f"line {lineno}: empty utterance")
-            slots = _api_slots(agent_text)
-            item = ("utterance", user_text, agent_text, slots,
-                    self.turn(Speaker.USER, user_text, None, ()),
-                    self.turn(Speaker.AGENT, agent_text, None, slots),
-                    self.user_tokens(user_text))
-        else:
-            parts = rest.split()
-            if len(parts) != 3:
-                raise ParseError(
-                    f"line {lineno}: not an utterance line (no tab) and not a "
-                    f"3-token KB fact: {line!r}"
-                )
-            # Each fact component is one whitespace-free token, so lowercasing
-            # it is `normalize_entity`.
-            item = ("fact", tuple(parts), tuple(p.lower() for p in parts))
-        self.bodies[rest] = item
-        return item
-
-    def user_tokens(self, user_text: str) -> frozenset[str]:
-        toks = self.tokens.get(user_text)
-        if toks is None:
-            toks = self.tokens[user_text] = frozenset(user_text.lower().split())
-        return toks
+def _line_body(turn, user_tokens, rest: str) -> tuple:
+    """The body of a line: (original user turn without annotations, original
+    agent turn, user tokens) for an utterance, (None, raw triple, lowercased
+    triple) for a KB fact. A ParseError here names no line."""
+    if "\t" in rest:
+        user_text, _, agent_text = rest.partition("\t")
+        if not user_text.strip() or not agent_text.strip():
+            raise ParseError("empty utterance")
+        return (turn(Speaker.USER, user_text, None, ()),
+                turn(Speaker.AGENT, agent_text, None, _api_slots(agent_text)),
+                user_tokens(user_text))
+    parts = rest.split()
+    if len(parts) != 3:
+        raise ParseError("not an utterance line (no tab) and not a 3-token KB fact")
+    # Each fact component is one whitespace-free token, so lowercasing it is
+    # `normalize_entity`.
+    return None, tuple(parts), tuple(p.lower() for p in parts)
 
 
-def _parse_block(block, dialog_id: str, injected_turns: dict[int, str], seen: _Seen) -> Dialog:
-    # utterance-line bodies, as `_Seen.parse_body` gives them
-    pairs: list[tuple] = []
+def _parse_block(block, dialog_id: str, injected_turns: dict[int, str], turn, body_of) -> Dialog:
+    # utterance-line bodies, as `_line_body` gives them
+    pairs: list[tuple[Turn, Turn, frozenset[str]]] = []
     # (raw triple, lowercased triple, index of the utterance line the fact precedes)
     facts: list[tuple[tuple[str, str, str], tuple[str, str, str], int]] = []
     prev_index = 0
@@ -212,11 +186,14 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str], seen: _S
             raise ParseError(f"line {lineno}: non-monotone line index {index}")
         prev_index = index
 
-        body = seen.bodies.get(rest) or seen.parse_body(rest, lineno, line)
-        if body[0] == "utterance":
-            pairs.append(body)
-        else:
+        try:
+            body = body_of(rest)
+        except ParseError as e:  # a bad KB fact is quoted whole, index included
+            raise ParseError(f"line {lineno}: {e}" + ("" if "\t" in rest else f": {line!r}")) from None
+        if body[0] is None:
             facts.append((body[1], body[2], len(pairs)))
+        else:
+            pairs.append(body)
 
     for i in injected_turns:
         if not 0 <= i < 2 * len(pairs):
@@ -226,9 +203,9 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str], seen: _S
     # Injected agent turns (a corrupted answer can look like an api_call)
     # contribute neither annotations nor api values.
     api_values: dict[str, list[str]] = {}
-    for k, (_, _, _, slots, _, _, _) in enumerate(pairs):
+    for k, (_, agent_turn, _) in enumerate(pairs):
         if 2 * k + 1 not in injected_turns:
-            for key, val in slots:
+            for key, val in agent_turn.annotations:
                 api_values.setdefault(key, []).append(val)
     any_value = frozenset(v for vals in api_values.values() for v in vals)
 
@@ -236,12 +213,12 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str], seen: _S
     # ordinals[k]: original agent turns before utterance line k. A fact is
     # anchored by it, so injected agent turns do not shift the anchors.
     ordinals = [0]
-    for k, (_, user_text, agent_text, _, user_turn, agent_turn, toks) in enumerate(pairs):
+    for k, (user_turn, agent_turn, toks) in enumerate(pairs):
         # Slot annotations for original user turns: per slot, the first
         # api_call value the turn mentions. Injected turns get none.
         user_by = injected_turns.get(2 * k)
         if user_by is not None:
-            user_turn = seen.turn(Speaker.USER, user_text, user_by, ())
+            user_turn = turn(Speaker.USER, user_turn.text, user_by, ())
         elif not any_value.isdisjoint(toks):
             user_annotations = []
             for key, vals in api_values.items():
@@ -249,11 +226,11 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str], seen: _S
                     if v in toks:
                         user_annotations.append((key, v))
                         break
-            user_turn = seen.turn(Speaker.USER, user_text, None, tuple(user_annotations))
+            user_turn = turn(Speaker.USER, user_turn.text, None, tuple(user_annotations))
         turns.append(user_turn)
         agent_by = injected_turns.get(2 * k + 1)
         if agent_by is not None:
-            agent_turn = seen.turn(Speaker.AGENT, agent_text, agent_by, ())
+            agent_turn = turn(Speaker.AGENT, agent_turn.text, agent_by, ())
         turns.append(agent_turn)
         ordinals.append(ordinals[-1] + (agent_by is None))
 

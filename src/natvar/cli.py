@@ -48,7 +48,7 @@ def _build_parser() -> _Parser:
         g = sp.add_mutually_exclusive_group(required=True)
         g.add_argument("--preset", choices=("smd-table1", "babi-table1"))
         g.add_argument("--config", help="plan config JSON file")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, help="plan seed; overrides the config's (default: its seed, or 0)")
         sp.add_argument("--allow-shortfall", action="store_true")
 
     sp = sub.add_parser("inject", help="apply a full injection plan to a test corpus")
@@ -98,7 +98,7 @@ def _resolve_config(args, fmt: str):
     from .planner import PlanError, config_from_dict, preset_config
 
     if args.preset:
-        cfg = preset_config(args.preset, seed=args.seed,
+        cfg = preset_config(args.preset, seed=args.seed or 0,
                             allow_shortfall=args.allow_shortfall)
         expected = "smd" if args.preset.startswith("smd") else "babi"
         if expected != fmt:
@@ -111,8 +111,7 @@ def _resolve_config(args, fmt: str):
         raise PlanError(f"cannot read config {args.config}: {e}") from e
     if not isinstance(d, dict):
         raise PlanError(f"config {args.config}: expected a JSON object")
-    d.setdefault("seed", args.seed)
-    if args.seed != 0:
+    if args.seed is not None:
         d["seed"] = args.seed
     d["allow_shortfall"] = args.allow_shortfall or d.get("allow_shortfall", False)
     try:

@@ -6,12 +6,12 @@ scored. Each is a closed function of integer sums. A manifest entry's
 entry row is a `ROW` of counts: BLEU clipped n-gram matches and totals for
 orders 1-4, predicted and gold lengths, entity tp, fp and fn, one response
 and whether it is correct. One walk scores each distinct (prediction, gold,
-lexicon) key once, in a memo local to the call; a dialog's row sums its
-entry rows, plus `dialogs` and `ok_dialogs` (all correct). `finalize` turns
-the sum of any rows into the four floats, so the sums over a partition of
-the dialogs add up to the aggregate. BLEU is
-corpus-level with uniform weights, the standard brevity penalty and no
-smoothing: a zero match count at any order gives BLEU 0. Entity F1 is
+lexicon) key once, in a `functools.cache` local to the call; a dialog's row
+sums its entry rows, plus `dialogs` and `ok_dialogs` (all correct).
+`finalize` turns the sum of any rows into the four floats, so the sums over
+a partition of the dialogs add up to the aggregate. BLEU is corpus-level
+with uniform weights, the standard brevity penalty and no smoothing: a zero
+match count at any order gives BLEU 0. Entity F1 is
 micro-averaged against a KB-derived entity lexicon. A response is correct
 when it tokenizes as its gold after lowercasing. Corpus dialogs with no
 manifest entry have no row; per-dialog accuracy counts them as correct.
@@ -19,6 +19,7 @@ manifest entry have no row; per-dialog accuracy counts them as correct.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -130,14 +131,11 @@ def dialog_stats(preds: PredictionSet, manifest: EvalManifest,
     """
     if preds.manifest_digest != manifest.digest() or len(preds.responses) != len(manifest.entries):
         raise MetricError("predictions are not aligned to this manifest (digest or count mismatch)")
-    entry_rows: dict[tuple, list[int]] = {}
+    entry_row = functools.cache(_entry_row)
     by_dialog: dict[str, list[list[int]]] = {}
     for pred, entry in zip(preds.responses, manifest.entries):
-        key = (pred, entry.gold_text, lexicon_of(entry.dialog_id) if lexicon_of else None)
-        entry_row = entry_rows.get(key)
-        if entry_row is None:
-            entry_row = entry_rows[key] = _entry_row(*key)
-        by_dialog.setdefault(entry.dialog_id, []).append(entry_row)
+        lexicon = lexicon_of(entry.dialog_id) if lexicon_of else None
+        by_dialog.setdefault(entry.dialog_id, []).append(entry_row(pred, entry.gold_text, lexicon))
     rows = {}
     for dialog_id, dialog_entries in by_dialog.items():
         row = rows[dialog_id] = list(map(sum, zip(*dialog_entries)))

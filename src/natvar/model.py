@@ -8,12 +8,11 @@ Knowledge-base facts are context, not turns, so they live in a separate
 record attached to the dialog.
 
 All types are immutable values after construction and safe to share
-between workers and between dialogs: a parser may hand every equal turn
-the same `Turn` object (`parse_babi` builds one per distinct turn). The
-value types built in the largest numbers (`Turn` here, and the manifest
-entries, anchors and assignments) are slotted dataclasses, which keeps
-them small and quick to build; they carry no `memo`, which needs an
-instance `__dict__`.
+between dialogs: a parser may hand every equal turn the same `Turn`
+object (`parse_babi` builds one per distinct turn). The value types built
+in the largest numbers (`Turn` here, and the manifest entries, anchors and
+assignments) are slotted dataclasses, which keeps them small and quick to
+build; they carry no `memo`, which needs an instance `__dict__`.
 """
 
 from __future__ import annotations
@@ -154,7 +153,8 @@ def entities_in(text: str, lexicon: frozenset[str] | set[str]) -> set[str]:
 @dataclass(frozen=True, slots=True)
 class Turn:
     """One utterance. `injected_by` is None for source-corpus turns,
-    otherwise the name of the pattern that introduced the turn."""
+    otherwise the name of the pattern that introduced the turn.
+    `annotations` are (slot, value) pairs."""
 
     speaker: Speaker
     text: str
@@ -172,8 +172,8 @@ class Turn:
         return self.injected_by is None
 
     def slots(self) -> dict[str, str]:
-        """Slot annotations, keyed by slot name (the `slot:` prefix dropped)."""
-        return {k[5:]: v for k, v in self.annotations if k.startswith("slot:")}
+        """Slot annotations, keyed by slot name."""
+        return dict(self.annotations)
 
 
 @dataclass(frozen=True)
@@ -320,11 +320,7 @@ def content_digest(corpus: DialogCorpus) -> str:
     return hashlib.sha256(b"\x1e".join(_digest_payload(d) for d in corpus.dialogs)).hexdigest()
 
 
-# `Speaker.value` through a dict: the enum's value descriptor costs a call per turn.
-_SPEAKER_VALUES = {s: s.value for s in Speaker}
-
-
 @memo
 def _digest_payload(d: Dialog) -> bytes:
     return (f"{d.id}|{d.domain}|" + "\x1f".join(
-        f"{_SPEAKER_VALUES[t.speaker]}:{t.injected_by or ''}:{t.text}" for t in d.turns)).encode("utf-8")
+        f"{t.speaker.value}:{t.injected_by or ''}:{t.text}" for t in d.turns)).encode("utf-8")

@@ -11,6 +11,7 @@ slots appear as "{name}".
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -19,16 +20,10 @@ class PhraseBankError(KeyError):
     """Missing phrase bank entry."""
 
 
-_BANK: dict | None = None
-
-
+@functools.cache
 def load_bank() -> dict:
     """The packaged phrase bank, loaded once."""
-    global _BANK
-    if _BANK is None:
-        data = resources.files("natvar").joinpath("data/phrase_bank.json").read_bytes()
-        _BANK = json.loads(data)
-    return _BANK
+    return json.loads(resources.files("natvar").joinpath("data/phrase_bank.json").read_bytes())
 
 
 def variants(pattern: str, action: str, domain: str) -> list[str]:

@@ -244,10 +244,11 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
 
     total = sum(targets.values())
     cap = cfg.max_patterns_per_dialog
-    hist = None
+    hist = achieved = None
     note = ""
     if cfg.histogram_targets is not None:
         hist = adjust_histogram(cfg.histogram_targets, total, len(corpus.dialogs), cap)
+        achieved = [0] * len(hist)  # achieved[k-1] = #dialogs with >= k
         if sum(cfg.histogram_targets) != total:
             note = (
                 f"overlap bucket targets sum to {sum(cfg.histogram_targets)} but the "
@@ -257,7 +258,6 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
 
     rng = random.Random(cfg.seed)
     count: dict[str, int] = {d.id: 0 for d in corpus.dialogs}
-    achieved = [0] * (len(hist) if hist else cap)  # achieved[k-1] = #dialogs with >= k
     assignments: list[Assignment] = []
 
     for p in order:
@@ -274,10 +274,6 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
             need = len(cands)
         if hist is None:
             chosen = rng.sample(cands, need)
-            for did in chosen:
-                level = count[did]
-                if level < len(achieved):
-                    achieved[level] += 1
         else:
             chosen = _biased_pick(cands, need, count, achieved, hist, rng)
         chosen.sort(key=lambda did: dialog_pos[did])

@@ -43,11 +43,6 @@ _SPEAKERS = {"driver": Speaker.USER, "assistant": Speaker.AGENT}
 _TAGS = {Speaker.USER: "driver", Speaker.AGENT: "assistant"}
 
 
-# Compact JSON, the bytes of `json.dumps(obj, ensure_ascii=False,
-# separators=(",", ":"))` from one encoder rather than a new one per call.
-_compact = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-
-
 def parse_smd(data: bytes) -> DialogCorpus:
     """Parse an SMD JSON file into a corpus."""
     try:
@@ -104,7 +99,7 @@ def _parse_dialogue(el, index: int) -> Dialog:
         except ModelError as e:
             raise ParseError(f"dialog {index}: {e}") from e
         if injected_by is None:
-            raw_originals.append(_compact(obj))
+            raw_originals.append(json.dumps(obj, ensure_ascii=False, separators=(",", ":")))
 
     turns = _derive_user_slots(turns, kb)
 
@@ -114,7 +109,8 @@ def _parse_dialogue(el, index: int) -> Dialog:
             domain=domain,
             turns=tuple(turns),
             kb=kb,
-            source_info=(_compact(scenario), tuple(raw_originals)),
+            source_info=(json.dumps(scenario, ensure_ascii=False, separators=(",", ":")),
+                         tuple(raw_originals)),
         )
     except ModelError as e:
         raise ParseError(f"dialog {index}: {e}") from e
@@ -153,7 +149,7 @@ def _turn_annotations(data, text: str, kb_ents: set[str]) -> tuple[tuple[str, st
         norm = normalize_entity(val)
         # Keep only slot values grounded in the utterance or the KB.
         if norm in kb_ents or entities_in(text, {norm}):
-            ann.append((f"slot:{key}", val))
+            ann.append((key, val))
     return tuple(ann)
 
 
@@ -165,8 +161,6 @@ def _derive_user_slots(turns: list[Turn], kb: KbRecord) -> list[Turn]:
         if t.speaker is not Speaker.AGENT or not t.is_original:
             continue
         for key, val in t.annotations:
-            if not key.startswith("slot:"):
-                continue
             norm = normalize_entity(val)
             for j in range(i - 1, -1, -1):
                 u = turns[j]

@@ -147,6 +147,18 @@ class TestRoundTrip:
         reparsed = parse_babi(data, sidecar)
         assert reparsed == replace(updated, source_bytes=b"")
 
+    def test_block_ending_in_kb_facts_round_trips_with_its_sidecar(self):
+        source = SIMPLE + b"8 resto_2 r_phone resto_2_phone\n9 resto_2 r_cuisine french\n"
+        corpus = parse_babi(source)
+        d = corpus.dialogs[0]
+        recipe = RECIPES["open_request_screening"]
+        updated = replace(corpus, dialogs=(inject(d, recipe, find_anchors(recipe, d, seed=0)[0], seed=0),),
+                          source_bytes=b"")
+        data = serialize_babi(updated)
+        # The injected exchange adds a line, so the trailing facts are lines 9 and 10.
+        assert data.endswith(b"\n9 resto_2 r_phone resto_2_phone\n10 resto_2 r_cuisine french\n")
+        assert parse_babi(data, serialize_origin_sidecar(updated)) == updated
+
     def test_renumbering_after_leading_injection(self):
         corpus = parse_babi(SIMPLE)
         d = corpus.dialogs[0]

@@ -106,6 +106,38 @@ def test_exclusive_options_need_exactly_one(capsys, tmp_path, smd_file, cmd, opt
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("seed_args, seed", [([], 7), (["--seed", 0], 0), (["--seed", 1], 1)])
+def test_a_given_seed_overrides_the_config_seed(capsys, tmp_path, smd_file, seed_args, seed):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"targets": {"open_request_screening": 1}, "seed": 7}))
+    out = tmp_path / "out.json"
+    code, _ = _run(capsys, ["inject", "--input", smd_file, "--format", "smd", "--config", config,
+                            *seed_args, "--output", out])
+    assert code == 0
+    assert json.loads(Path(f"{out}.run.json").read_text())["seed"] == seed
+
+
+def test_per_dialog_cap_shortfall_exits_3_unless_allowed(capsys, tmp_path, smd_file):
+    # Both patterns are eligible in all 5 dialogs, so eligibility meets the
+    # targets; with one pattern per dialog, the first takes every dialog and
+    # leaves the second no candidate.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"targets": {"open_request_screening": 5, "capability_expansion": 5},
+                                  "max_patterns_per_dialog": 1}))
+    out = tmp_path / "out.json"
+    argv = ["inject", "--input", smd_file, "--format", "smd", "--config", config, "--output", out]
+    shortfall = "capability_expansion: eligible 0 < target 5"
+    code, lines = _run(capsys, argv)
+    assert code == 3
+    assert lines == [f"plan shortfall: eligibility shortfall ({shortfall})"]
+    assert not out.exists()
+    code, _ = _run(capsys, [*argv, "--allow-shortfall"])
+    assert code == 0
+    assert f"shortfall recorded: {shortfall}" in json.loads(Path(f"{out}.run.json").read_text())["notes"]
+    assert Path(f"{out}.plan.tsv").read_text().count("\topen_request_screening\t") == 5
+    assert "capability_expansion" not in Path(f"{out}.plan.tsv").read_text()
+
+
 def test_babi_inject_to_stdout_is_a_usage_error(capsys, tmp_path):
     # bAbI text has no place for the injection marks: without --output they
     # would be lost and the updated corpus would read back as pristine.

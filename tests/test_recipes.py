@@ -23,11 +23,11 @@ def _smd_dialog(did="smd-0"):
     ))
     turns = (
         Turn(Speaker.USER, "where is the nearest gas station?",
-             annotations=(("slot:poi_type", "gas station"),)),
+             annotations=(("poi_type", "gas station"),)),
         Turn(Speaker.AGENT, "Do you want the closest one?"),
         Turn(Speaker.USER, "yes please"),
         Turn(Speaker.AGENT, "chevron is at 783 arcadia pl",
-             annotations=(("slot:poi", "chevron"),)),
+             annotations=(("poi", "chevron"),)),
     )
     return Dialog(id=did, domain="navigate", turns=turns, kb=kb)
 
