@@ -21,6 +21,7 @@ turn indices are injected and by which pattern:
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Iterator
 
 from . import NatvarError
 from .catalog import CATALOG
@@ -106,8 +107,10 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     Line endings are normalized to "\\n". When `origin_sidecar` is given,
     the listed turn indices are restored as injected turns; a sidecar entry
     for a dialog or turn the file does not have, or naming a pattern with no
-    recipe, raises ParseError. A block's lines are read in one pass, then
-    each `Turn` is built with its final origin and annotations.
+    recipe, raises ParseError. The decoded text is scanned one dialog block
+    at a time (`_blocks`): no list of the file's lines is built, and a block's
+    lines die once its `Dialog` is made. Each `Turn` is built with its final
+    origin and annotations.
 
     Task-5 dialogs come from fixed simulator templates, so most line bodies
     and turns recur across dialogs. `functools.cache`s made in the call
@@ -119,23 +122,13 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     checked on its own. The caches die with the call.
     """
     text = decode_utf8(data, "bAbI file").replace("\r\n", "\n").replace("\r", "\n")
-    blocks: list[list[tuple[int, str]]] = [[]]
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if line.strip() == "":
-            if blocks[-1]:
-                blocks.append([])
-            continue
-        blocks[-1].append((lineno, line))
-    if blocks and not blocks[-1]:
-        blocks.pop()
-
     injected = _parse_sidecar(origin_sidecar) if origin_sidecar else {}
 
     turn = functools.cache(Turn)
     user_tokens = functools.cache(lambda text: frozenset(text.lower().split()))
     body_of = functools.cache(functools.partial(_line_body, turn, user_tokens))
     dialogs = []
-    for idx, block in enumerate(blocks):
+    for idx, block in enumerate(_blocks(text)):
         dialog_id = f"babi-{idx}"
         dialogs.append(_parse_block(block, dialog_id, injected.pop(dialog_id, {}), turn, body_of))
     if injected:
@@ -148,6 +141,30 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
         global_entities=build_global_entities(dialogs, babi_lexicon()),
         source_bytes=data,
     )
+
+
+def _blocks(text: str):
+    """Each dialog block of `text`, as a list of (1-based line number, line).
+
+    Lines split at "\\n" only; whitespace-only lines separate blocks.
+    """
+    block: list[tuple[int, str]] = []
+    lineno = start = 0
+    end = len(text)
+    while start <= end:
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = end
+        lineno += 1
+        line = text[start:stop]
+        if line and not line.isspace():
+            block.append((lineno, line))
+        elif block:
+            yield block
+            block = []
+        start = stop + 1
+    if block:
+        yield block
 
 
 def _line_body(turn, user_tokens, rest: str) -> tuple:
@@ -244,17 +261,33 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str], turn, bo
 
 
 def serialize_babi(corpus: DialogCorpus) -> bytes:
-    """Serialize to the canonical bAbI text form.
+    """The canonical bAbI text form of `corpus`: `babi_chunks` joined."""
+    return b"".join(babi_chunks(corpus))
 
-    Returns the retained source bytes verbatim when the corpus is untouched
-    and came from a file; otherwise emits blocks with line indices
-    renumbered 1..N per dialog. KB fact lines keep their position relative
-    to the original agent turn they precede.
+
+def babi_chunks(corpus: DialogCorpus) -> Iterable[bytes]:
+    """The canonical bAbI text form of `corpus`, as chunks to write in order.
+
+    The retained source bytes verbatim when the corpus is untouched and
+    came from a file; otherwise one chunk per dialog block, with line
+    indices renumbered 1..N per dialog, and one per separator. KB fact lines
+    keep their position relative to the original agent turn they precede.
+    Every block is built before this returns, so a dialog bAbI cannot hold
+    raises ModelError before the first chunk.
     """
     if corpus.source_bytes and corpus.is_pristine:
-        return corpus.source_bytes
-    blocks = [_serialize_dialog(d) for d in corpus.dialogs]
-    return ("\n\n".join(blocks) + "\n").encode("utf-8")
+        return (corpus.source_bytes,)
+    return _encode_joined([_serialize_dialog(d) for d in corpus.dialogs], "\n\n")
+
+
+def _encode_joined(parts: Iterable[str], sep: str) -> Iterator[bytes]:
+    """The UTF-8 bytes of `sep.join(parts) + "\\n"`, one part at a time."""
+    sep_bytes = sep.encode("utf-8")
+    for i, part in enumerate(parts):
+        if i:
+            yield sep_bytes
+        yield part.encode("utf-8")
+    yield b"\n"
 
 
 @memo
@@ -286,8 +319,13 @@ def _serialize_dialog(d: Dialog) -> str:
 
 
 def serialize_origin_sidecar(corpus: DialogCorpus) -> bytes:
+    """The origin sidecar of `corpus`: `sidecar_chunks` joined."""
+    return b"".join(sidecar_chunks(corpus))
+
+
+def sidecar_chunks(corpus: DialogCorpus) -> Iterator[bytes]:
     """One line per dialog: 'dialog_id: i=pattern,j=pattern' (may be empty)."""
-    return ("\n".join(_sidecar_line(d) for d in corpus.dialogs) + "\n").encode("utf-8")
+    return _encode_joined(map(_sidecar_line, corpus.dialogs), "\n")
 
 
 @memo

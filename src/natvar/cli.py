@@ -6,8 +6,9 @@ for manual review, produce retrieval-baseline predictions, and score
 predictions under the masked evaluation protocol.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 parse or data error,
-3 planner eligibility shortfall. Diagnostics go to stderr; stdout carries
-data only when --output is absent.
+3 planner shortfall (too few eligible dialogs, or too few under the
+per-dialog cap). Diagnostics go to stderr; stdout carries data only when
+--output is absent.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def _plan_dump(pln) -> bytes:
 
 
 def _inject_diagnostics(pln, updated, cfg) -> list[str]:
-    from .planner import overlap_histogram
+    from .planner import overlap_histogram, shortfall_text
 
     notes = []
     counts: dict[str, int] = {}
@@ -139,8 +140,8 @@ def _inject_diagnostics(pln, updated, cfg) -> list[str]:
         notes.append(f"overlap bucket targets: {list(cfg.histogram_targets)}")
     if pln.histogram_note:
         notes.append(pln.histogram_note)
-    for p, target, eligible in pln.shortfalls:
-        notes.append(f"shortfall recorded: {p}: eligible {eligible} < target {target}")
+    for shortfall in pln.shortfalls:
+        notes.append(f"shortfall recorded: {shortfall_text(shortfall)}")
     return notes
 
 
@@ -166,11 +167,11 @@ def _write_run(base, subcommand: str, config: dict, inputs: dict, seed: int | No
 
 def _save_with_manifest(corpus, out: Path) -> list[str]:
     """Write the corpus, its bAbI sidecar and OUT.manifest.tsv; returns the paths."""
-    from .io import save_corpus
-    from .manifest import export_manifest, serialize_manifest
+    from .io import save_corpus, write_chunks
+    from .manifest import export_manifest, manifest_chunks
 
     written = [str(p) for p in save_corpus(corpus, out)]
-    Path(f"{out}.manifest.tsv").write_bytes(serialize_manifest(export_manifest(corpus)))
+    write_chunks(f"{out}.manifest.tsv", manifest_chunks(export_manifest(corpus)))
     written.append(f"{out}.manifest.tsv")
     return written
 

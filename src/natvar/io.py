@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from pathlib import Path
 
-from .babi import parse_babi, serialize_babi, serialize_origin_sidecar
+from .babi import babi_chunks, parse_babi, serialize_babi, sidecar_chunks
 from .model import DialogCorpus
 
 FORMATS = ("babi", "smd")
@@ -31,6 +32,12 @@ def serialize_corpus(corpus: DialogCorpus) -> bytes:
     return serialize_smd(corpus)
 
 
+def write_chunks(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write `chunks` to the file at `path`, one at a time."""
+    with open(path, "wb") as f:
+        f.writelines(chunks)
+
+
 def load_corpus(path: str | Path, fmt: str) -> DialogCorpus:
     """Load a corpus file; a '<path>.origin' sidecar is picked up when present."""
     path = Path(path)
@@ -46,13 +53,19 @@ def load_corpus(path: str | Path, fmt: str) -> DialogCorpus:
 def save_corpus(corpus: DialogCorpus, path: str | Path) -> list[Path]:
     """Write the corpus (and, for bAbI with injections, its origin sidecar).
 
-    Returns the written paths.
+    A bAbI corpus is streamed to the file one dialog block at a time, and
+    its sidecar one line at a time, through the routines that
+    `serialize_babi` and `serialize_origin_sidecar` join; no whole-file copy
+    is built. A dialog bAbI cannot hold raises ModelError before the file is
+    opened. An SMD corpus is written whole. Returns the written paths.
     """
     path = Path(path)
-    written = [path]
-    path.write_bytes(serialize_corpus(corpus))
-    if corpus.source_format == "babi" and not corpus.is_pristine:
-        sidecar_path = Path(str(path) + ".origin")
-        sidecar_path.write_bytes(serialize_origin_sidecar(corpus))
-        written.append(sidecar_path)
-    return written
+    if corpus.source_format != "babi":
+        path.write_bytes(serialize_corpus(corpus))
+        return [path]
+    write_chunks(path, babi_chunks(corpus))
+    if corpus.is_pristine:
+        return [path]
+    sidecar_path = Path(str(path) + ".origin")
+    write_chunks(sidecar_path, sidecar_chunks(corpus))
+    return [path, sidecar_path]

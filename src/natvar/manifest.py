@@ -9,6 +9,7 @@ so a manifest exported before and after injection carries the same
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .babi import ParseError, decode_utf8
@@ -72,10 +73,16 @@ def check_corpus(m: EvalManifest, corpus: DialogCorpus) -> None:
 
 
 def serialize_manifest(m: EvalManifest) -> bytes:
-    lines = [f"# corpus_tag={m.corpus_tag}"]
+    """The manifest file of `m`: `manifest_chunks` joined."""
+    return b"".join(manifest_chunks(m))
+
+
+def manifest_chunks(m: EvalManifest) -> Iterator[bytes]:
+    """The manifest file of `m`, one line at a time: a `# corpus_tag=` header,
+    then one 'dialog_id<TAB>turn_index<TAB>gold_text' line per entry."""
+    yield f"# corpus_tag={m.corpus_tag}\n".encode("utf-8")
     for e in m.entries:
-        lines.append(f"{e.dialog_id}\t{e.turn_index}\t{e.gold_text}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        yield f"{e.dialog_id}\t{e.turn_index}\t{e.gold_text}\n".encode("utf-8")
 
 
 def parse_manifest(data: bytes) -> EvalManifest:

@@ -237,8 +237,10 @@ class Dialog:
         if self.domain not in DOMAINS:
             raise ModelError(f"unknown domain {self.domain!r} in dialog {self.id}")
         _check_alternation(self.turns, self.id)
-        originals = tuple(t for t in self.turns if t.is_original)
-        _check_alternation(originals, self.id + " (original subsequence)")
+        # With no injected turn the original subsequence is `turns`, checked above.
+        if any(t.injected_by for t in self.turns):
+            originals = tuple(t for t in self.turns if t.is_original)
+            _check_alternation(originals, self.id + " (original subsequence)")
 
     @property
     def applied_patterns(self) -> frozenset[str]:
@@ -311,13 +313,20 @@ def content_digest(corpus: DialogCorpus) -> str:
     """Digest of the corpus content (turn texts, speakers, origins).
 
     Prefers the exact source bytes when available, so corpora loaded from a
-    file are fingerprinted by the file itself.
+    file are fingerprinted by the file itself. Otherwise it is the sha256 of
+    the dialogs' payloads joined by "\\x1e", fed to the hash one payload at
+    a time, so no corpus-wide payload is built.
     """
     import hashlib
 
     if corpus.source_bytes:
         return hashlib.sha256(corpus.source_bytes).hexdigest()
-    return hashlib.sha256(b"\x1e".join(_digest_payload(d) for d in corpus.dialogs)).hexdigest()
+    h = hashlib.sha256()
+    for i, d in enumerate(corpus.dialogs):
+        if i:
+            h.update(b"\x1e")
+        h.update(_digest_payload(d))
+    return h.hexdigest()
 
 
 @memo

@@ -47,18 +47,30 @@ class PlanMismatchError(PlanError):
 
 
 class ShortfallError(PlanError):
-    """Eligibility below target for one or more patterns."""
+    """Too few candidate dialogs for one or more patterns' targets.
+
+    Each shortfall is (pattern, target, eligible dialogs) when eligibility
+    fell short, or (pattern, target, eligible dialogs under the cap, cap)
+    when the per-dialog cap did.
+    """
 
     exit_code = 3
     label = "plan shortfall"
 
-    def __init__(self, shortfalls: list[tuple[str, int, int]]):
+    def __init__(self, shortfalls: list[tuple]):
         self.shortfalls = shortfalls
-        lines = ", ".join(
-            f"{name}: eligible {eligible} < target {target}"
-            for name, target, eligible in shortfalls
-        )
-        super().__init__(f"eligibility shortfall ({lines})")
+        cause = "per-dialog cap" if len(shortfalls[0]) == 4 else "eligibility"
+        lines = ", ".join(map(shortfall_text, shortfalls))
+        super().__init__(f"{cause} shortfall ({lines})")
+
+
+def shortfall_text(shortfall: tuple) -> str:
+    """One shortfall as `ShortfallError` and the run notes name it."""
+    name, target, available, *cap = shortfall
+    if cap:
+        return (f"{name}: {available} eligible dialogs under the per-dialog cap of {cap[0]} "
+                f"< target {target}")
+    return f"{name}: eligible {available} < target {target}"
 
 
 @dataclass(frozen=True)
@@ -149,8 +161,8 @@ class InjectionPlan:
     assignments: tuple[Assignment, ...]
     corpus_digest: str
     seed: int
-    # (pattern, requested target, eligible count) for capped patterns.
-    shortfalls: tuple[tuple[str, int, int], ...] = ()
+    # The recorded shortfalls, as `ShortfallError` holds them.
+    shortfalls: tuple[tuple, ...] = ()
     histogram_note: str = ""
 
 
@@ -269,8 +281,8 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
         cands = [did for did in eligible[p] if count[did] < cap]
         if len(cands) < need:
             if not cfg.allow_shortfall:
-                raise ShortfallError([(p, need, len(cands))])
-            shortfalls.append((p, need, len(cands)))
+                raise ShortfallError([(p, need, len(cands), cap)])
+            shortfalls.append((p, need, len(cands), cap))
             need = len(cands)
         if hist is None:
             chosen = rng.sample(cands, need)

@@ -84,6 +84,30 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             parse_babi(bad)
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_crlf_and_lone_cr_parse_like_lf(self, newline):
+        two = SIMPLE + b"\n" + SIMPLE
+        assert parse_babi(two.replace(b"\n", newline)) == parse_babi(two)
+
+    @pytest.mark.parametrize("gap", [b"\n \t\n", b"\n\n\n\n", b"\n\x0c\n\n\n"],
+                             ids=["whitespace-only", "blank-run", "mixed-run"])
+    def test_blank_and_whitespace_only_lines_separate_blocks(self, gap):
+        expected = parse_babi(SIMPLE + b"\n" + SIMPLE).dialogs
+        assert parse_babi(SIMPLE + gap + SIMPLE).dialogs == expected
+        assert parse_babi(b"\n  \n" + SIMPLE + gap + SIMPLE + b"\n\n \n").dialogs == expected
+
+    def test_file_without_final_newline_parses(self):
+        assert parse_babi(SIMPLE.rstrip(b"\n")).dialogs == parse_babi(SIMPLE).dialogs
+        assert parse_babi(b"").dialogs == ()
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_malformed_line_after_blank_runs_names_its_physical_line(self, newline):
+        # A blank line, SIMPLE's 7 lines, 3 blank or whitespace-only lines and
+        # a good line come first, so the malformed line is physical line 13.
+        data = b"\n" + SIMPLE + b"\n \n\n1 hi\thello\n2 five separate tokens in here\n"
+        with pytest.raises(ParseError, match="^line 13: not an utterance line"):
+            parse_babi(data.replace(b"\n", newline))
+
     def test_dialog_ids_are_stable(self, babi_corpus):
         assert babi_corpus.dialogs[0].id == "babi-0"
         assert babi_corpus.dialogs[999].id == "babi-999"

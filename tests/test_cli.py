@@ -126,10 +126,10 @@ def test_per_dialog_cap_shortfall_exits_3_unless_allowed(capsys, tmp_path, smd_f
                                   "max_patterns_per_dialog": 1}))
     out = tmp_path / "out.json"
     argv = ["inject", "--input", smd_file, "--format", "smd", "--config", config, "--output", out]
-    shortfall = "capability_expansion: eligible 0 < target 5"
+    shortfall = "capability_expansion: 0 eligible dialogs under the per-dialog cap of 1 < target 5"
     code, lines = _run(capsys, argv)
     assert code == 3
-    assert lines == [f"plan shortfall: eligibility shortfall ({shortfall})"]
+    assert lines == [f"plan shortfall: per-dialog cap shortfall ({shortfall})"]
     assert not out.exists()
     code, _ = _run(capsys, [*argv, "--allow-shortfall"])
     assert code == 0
