@@ -149,22 +149,23 @@ def _blocks(text: str):
     Lines split at "\\n" only; whitespace-only lines separate blocks.
     """
     block: list[tuple[int, str]] = []
-    lineno = start = 0
-    end = len(text)
-    while start <= end:
-        stop = text.find("\n", start)
-        if stop < 0:
-            stop = end
-        lineno += 1
-        line = text[start:stop]
+    for lineno, line in numbered_lines(text):
         if line and not line.isspace():
             block.append((lineno, line))
         elif block:
             yield block
             block = []
-        start = stop + 1
     if block:
         yield block
+
+
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each (1-based number, line) of `text`, split at "\\n" only, one at a time."""
+    start, lineno = 0, 1
+    while (stop := text.find("\n", start)) >= 0:
+        yield lineno, text[start:stop]
+        start, lineno = stop + 1, lineno + 1
+    yield lineno, text[start:]
 
 
 def _line_body(turn, user_tokens, rest: str) -> tuple:
@@ -258,11 +259,6 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str], turn, bo
         kb=KbRecord(entries=tuple(lower for _, lower, _ in facts)),
         source_info=tuple((*raw, ordinals[k]) for raw, _, k in facts),
     )
-
-
-def serialize_babi(corpus: DialogCorpus) -> bytes:
-    """The canonical bAbI text form of `corpus`: `babi_chunks` joined."""
-    return b"".join(babi_chunks(corpus))
 
 
 def babi_chunks(corpus: DialogCorpus) -> Iterable[bytes]:

@@ -180,7 +180,7 @@ def cmd_inject(args) -> int:
     if args.format == "babi" and not args.output:
         raise UsageError("inject --format babi needs --output: the injection marks go to "
                          "OUTPUT.origin and OUTPUT.manifest.tsv, not to stdout")
-    from .io import load_corpus, serialize_corpus, sha256_hex
+    from .io import corpus_chunks, load_corpus, sha256_hex
     from .planner import execute, plan
 
     corpus = load_corpus(args.input, args.format)
@@ -198,7 +198,7 @@ def cmd_inject(args) -> int:
         _write_run(out, "inject", cfg.to_dict(),
                    {args.input: sha256_hex(corpus.source_bytes)}, cfg.seed, written, notes)
     else:
-        sys.stdout.buffer.write(serialize_corpus(updated))
+        sys.stdout.buffer.writelines(corpus_chunks(updated))
     return 0
 
 

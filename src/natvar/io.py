@@ -6,7 +6,7 @@ import hashlib
 from collections.abc import Iterable
 from pathlib import Path
 
-from .babi import babi_chunks, parse_babi, serialize_babi, sidecar_chunks
+from .babi import babi_chunks, parse_babi, sidecar_chunks
 from .model import DialogCorpus
 
 FORMATS = ("babi", "smd")
@@ -26,10 +26,15 @@ def parse_corpus(data: bytes, fmt: str, origin_sidecar: bytes | None = None) -> 
 
 
 def serialize_corpus(corpus: DialogCorpus) -> bytes:
+    return b"".join(corpus_chunks(corpus))
+
+
+def corpus_chunks(corpus: DialogCorpus) -> Iterable[bytes]:
+    """The file of `corpus` in its format, as chunks to write in order."""
     if corpus.source_format == "babi":
-        return serialize_babi(corpus)
-    from .smd import serialize_smd
-    return serialize_smd(corpus)
+        return babi_chunks(corpus)
+    from .smd import smd_chunks
+    return smd_chunks(corpus)
 
 
 def write_chunks(path: str | Path, chunks: Iterable[bytes]) -> None:
@@ -53,18 +58,15 @@ def load_corpus(path: str | Path, fmt: str) -> DialogCorpus:
 def save_corpus(corpus: DialogCorpus, path: str | Path) -> list[Path]:
     """Write the corpus (and, for bAbI with injections, its origin sidecar).
 
-    A bAbI corpus is streamed to the file one dialog block at a time, and
-    its sidecar one line at a time, through the routines that
-    `serialize_babi` and `serialize_origin_sidecar` join; no whole-file copy
-    is built. A dialog bAbI cannot hold raises ModelError before the file is
-    opened. An SMD corpus is written whole. Returns the written paths.
+    The corpus is streamed to the file one bAbI dialog block or SMD
+    dialogue object at a time, and a sidecar one line at a time, through
+    the routines that `serialize_corpus` and `serialize_origin_sidecar`
+    join; no whole-file copy is built. A dialog bAbI cannot hold raises
+    ModelError before the file is opened. Returns the written paths.
     """
     path = Path(path)
-    if corpus.source_format != "babi":
-        path.write_bytes(serialize_corpus(corpus))
-        return [path]
-    write_chunks(path, babi_chunks(corpus))
-    if corpus.is_pristine:
+    write_chunks(path, corpus_chunks(corpus))
+    if corpus.source_format != "babi" or corpus.is_pristine:
         return [path]
     sidecar_path = Path(str(path) + ".origin")
     write_chunks(sidecar_path, sidecar_chunks(corpus))

@@ -12,7 +12,7 @@ import hashlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .babi import ParseError, decode_utf8
+from .babi import ParseError, decode_utf8, numbered_lines
 from .model import Dialog, DialogCorpus, Speaker, content_digest, memo
 
 
@@ -86,9 +86,11 @@ def manifest_chunks(m: EvalManifest) -> Iterator[bytes]:
 
 
 def parse_manifest(data: bytes) -> EvalManifest:
+    """The manifest in `data`, one line at a time; lines end only at LF, CR or CRLF."""
     tag = ""
     entries = []
-    for lineno, line in enumerate(decode_utf8(data, "manifest").splitlines(), start=1):
+    text = decode_utf8(data, "manifest").replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in numbered_lines(text):
         if not line.strip():
             continue
         if line.startswith("#"):

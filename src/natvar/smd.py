@@ -13,13 +13,16 @@ Injected turns are serialized as ordinary turn objects with two additive
 fields, `"injected": true` and `"pattern": "<name>"`, so consumers of the
 original schema still parse updated files.
 
-Original turn objects and scenario objects are retained verbatim (as
-compact JSON strings) so that serialization is lossless.
+Original turn and scenario objects are kept verbatim as compact JSON strings,
+so saving is lossless. Parse and save handle one dialogue object at a time.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
+from collections.abc import Iterator
 
 from .babi import ParseError, check_pattern_name
 from .model import (
@@ -41,20 +44,35 @@ _SUBJECT_KEYS = {"navigate": "poi", "weather": "location", "schedule": "event"}
 
 _SPEAKERS = {"driver": Speaker.USER, "assistant": Speaker.AGENT}
 _TAGS = {Speaker.USER: "driver", Speaker.AGENT: "assistant"}
+_WS = "[ \t\n\r]*"  # JSON whitespace
+_OPEN = re.compile(rf"{_WS}\[{_WS}(\]{_WS}\Z)?")  # "[", or a whole empty array (group 1)
+_NEXT = re.compile(rf"{_WS}(?:,{_WS}|(\]){_WS}\Z)")  # ",", or "]" at the end (group 1)
+_DECODE = json.JSONDecoder().raw_decode
+_ENCODE = json.JSONEncoder(ensure_ascii=False).encode  # a scalar, "[]" or "{}"
 
 
 def parse_smd(data: bytes) -> DialogCorpus:
-    """Parse an SMD JSON file into a corpus."""
+    """Parse an SMD JSON file into a corpus one dialogue object at a time, with no
+    tree of the whole file. On any error the file is parsed whole, which names it."""
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
-        raise ParseError(f"not valid SMD JSON: {e}") from e
-    if not isinstance(doc, list):
-        raise ParseError("SMD file must be a JSON array of dialogues")
-
-    dialogs = tuple(_parse_dialogue(el, i) for i, el in enumerate(doc))
+        text, dialogs = data.decode("utf-8"), []
+        sep = _OPEN.match(text)
+        while sep and not sep.group(1):
+            el, end = _DECODE(text, sep.end())
+            dialogs.append(_parse_dialogue(el, len(dialogs)))
+            sep = _NEXT.match(text, end)
+    except (ValueError, RecursionError):  # ParseError and UnicodeDecodeError are ValueErrors
+        sep = None
+    if not sep:  # an error, or not one JSON array: `json.loads` names the fault
+        try:
+            doc = json.loads(data.decode("utf-8"))
+        except (ValueError, RecursionError) as e:
+            raise ParseError(f"not valid SMD JSON: {e}") from e
+        if not isinstance(doc, list):
+            raise ParseError("SMD file must be a JSON array of dialogues")
+        dialogs = [_parse_dialogue(el, i) for i, el in enumerate(doc)]
     return DialogCorpus(
-        dialogs=dialogs,
+        dialogs=tuple(dialogs),
         source_format="smd",
         global_entities=build_global_entities(dialogs),
         source_bytes=data,
@@ -149,7 +167,7 @@ def _turn_annotations(data, text: str, kb_ents: set[str]) -> tuple[tuple[str, st
         norm = normalize_entity(val)
         # Keep only slot values grounded in the utterance or the KB.
         if norm in kb_ents or entities_in(text, {norm}):
-            ann.append((key, val))
+            ann.append((sys.intern(key), val))
     return tuple(ann)
 
 
@@ -179,28 +197,35 @@ def _derive_user_slots(turns: list[Turn], kb: KbRecord) -> list[Turn]:
     ]
 
 
-def serialize_smd(corpus: DialogCorpus) -> bytes:
-    """Serialize to SMD JSON (canonical 2-space-indent form).
-
-    Returns the retained source bytes verbatim when the corpus is untouched
-    and came from a file.
-    """
+def smd_chunks(corpus: DialogCorpus) -> Iterator[bytes]:
+    """`json.dumps(doc, ensure_ascii=False, indent=2) + "\\n"` in UTF-8, one dialogue
+    object of `doc` at a time; the source bytes of a pristine file-backed corpus."""
     if corpus.source_bytes and corpus.is_pristine:
-        return corpus.source_bytes
-    doc = []
+        yield corpus.source_bytes
+        return
+    sep = "[\n  "
     for d in corpus.dialogs:
         scenario_json, raw_originals = d.source_info
         originals = iter(raw_originals)
-        turn_objs = []
-        for t in d.turns:
-            if t.is_original:
-                turn_objs.append(json.loads(next(originals)))
-            else:
-                turn_objs.append({
-                    "turn": _TAGS[t.speaker],
-                    "data": {"end_dialogue": False, "utterance": t.text},
-                    "injected": True,
-                    "pattern": t.injected_by,
-                })
-        doc.append({"dialogue": turn_objs, "scenario": json.loads(scenario_json)})
-    return (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+        turn_objs = [json.loads(next(originals)) if t.is_original else {
+            "turn": _TAGS[t.speaker],
+            "data": {"end_dialogue": False, "utterance": t.text},
+            "injected": True,
+            "pattern": t.injected_by,
+        } for t in d.turns]
+        obj = {"dialogue": turn_objs, "scenario": json.loads(scenario_json)}
+        yield (sep + _indented(obj, "  ")).encode("utf-8")
+        sep = ",\n  "
+    yield b"\n]\n" if corpus.dialogs else b"[]\n"
+
+
+def _indented(obj, pad: str) -> str:
+    """`json.dumps(obj, ensure_ascii=False, indent=2)` with `pad` before each line but
+    the first, without the reference cycle per call that `json.dumps` makes then."""
+    inner = pad + "  "
+    if obj and isinstance(obj, dict):
+        return "{\n" + ",\n".join(f"{inner}{_ENCODE(k)}: {_indented(v, inner)}"
+                                   for k, v in obj.items()) + f"\n{pad}}}"
+    if obj and isinstance(obj, list):
+        return "[\n" + ",\n".join(inner + _indented(v, inner) for v in obj) + f"\n{pad}]"
+    return _ENCODE(obj)

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
-from .io import serialize_corpus, sha256_hex
+from .io import corpus_chunks
 from .model import DialogCorpus, mean_utterances
 from .planner import overlap_histogram
 from .recipes import RECIPES, patterns_for_dataset
@@ -38,6 +39,9 @@ def corpus_stats(corpus: DialogCorpus) -> CorpusStats:
             counts[p] = counts.get(p, 0) + 1
     hist = overlap_histogram(corpus)
     n_utt = sum(len(d.turns) for d in corpus.dialogs)
+    checksum = hashlib.sha256()  # of the file bytes, hashed chunk by chunk
+    for chunk in (corpus.source_bytes,) if corpus.source_bytes else corpus_chunks(corpus):
+        checksum.update(chunk)
     return CorpusStats(
         source_format=corpus.source_format,
         n_dialogs=len(corpus.dialogs),
@@ -47,7 +51,7 @@ def corpus_stats(corpus: DialogCorpus) -> CorpusStats:
         pattern_counts=tuple(counts.items()),
         histogram=tuple(sorted(hist.items())),
         lexicon_size=len(corpus.global_entities),
-        checksum=sha256_hex(corpus.source_bytes or serialize_corpus(corpus)),
+        checksum=checksum.hexdigest(),
         notes=(ADDED_TURNS_ASSUMPTION,),
     )
 

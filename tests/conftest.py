@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from natvar.babi import parse_babi
@@ -33,3 +36,23 @@ def small_smd_corpus():
 @pytest.fixture(scope="session")
 def small_babi_corpus():
     return parse_babi(make_babi_bytes(n_dialogs=40))
+
+
+@pytest.fixture
+def traced():
+    """`traced(f)` runs `f()` under tracemalloc with the cyclic GC off and
+    returns (its result, bytes still allocated, peak bytes)."""
+    def run(f):
+        gc.collect()
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            result = f()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if gc_was_enabled:
+                gc.enable()
+        return result, retained, peak
+    return run

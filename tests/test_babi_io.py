@@ -4,10 +4,10 @@ from dataclasses import replace
 from natvar.babi import (
     ParseError,
     parse_babi,
-    serialize_babi,
     serialize_origin_sidecar,
     slot_for_question,
 )
+from natvar.io import serialize_corpus
 from natvar.model import Speaker
 from natvar.planner import PlanConfig, execute, plan
 from natvar.recipes import RECIPES, find_anchors, inject
@@ -152,11 +152,11 @@ class TestParse:
 
 class TestRoundTrip:
     def test_pristine_bytes_shortcut(self, babi_bytes, babi_corpus):
-        assert serialize_babi(babi_corpus) == babi_bytes
+        assert serialize_corpus(babi_corpus) == babi_bytes
 
     def test_canonical_emission_matches_fixture(self, babi_bytes, babi_corpus):
         forced = replace(babi_corpus, source_bytes=b"")
-        assert serialize_babi(forced) == babi_bytes
+        assert serialize_corpus(forced) == babi_bytes
 
     def test_model_round_trip_after_injection(self, small_babi_corpus):
         cfg = PlanConfig(
@@ -166,7 +166,7 @@ class TestRoundTrip:
             histogram_targets=None,
         )
         updated = execute(small_babi_corpus, plan(small_babi_corpus, cfg))
-        data = serialize_babi(updated)
+        data = serialize_corpus(updated)
         sidecar = serialize_origin_sidecar(updated)
         reparsed = parse_babi(data, sidecar)
         assert reparsed == replace(updated, source_bytes=b"")
@@ -178,7 +178,7 @@ class TestRoundTrip:
         recipe = RECIPES["open_request_screening"]
         updated = replace(corpus, dialogs=(inject(d, recipe, find_anchors(recipe, d, seed=0)[0], seed=0),),
                           source_bytes=b"")
-        data = serialize_babi(updated)
+        data = serialize_corpus(updated)
         # The injected exchange adds a line, so the trailing facts are lines 9 and 10.
         assert data.endswith(b"\n9 resto_2 r_phone resto_2_phone\n10 resto_2 r_cuisine french\n")
         assert parse_babi(data, serialize_origin_sidecar(updated)) == updated
@@ -189,7 +189,7 @@ class TestRoundTrip:
         recipe = RECIPES["open_request_screening"]
         anchor = find_anchors(recipe, d, seed=0)[0]
         updated = inject(d, recipe, anchor, seed=0)
-        out = serialize_babi(
+        out = serialize_corpus(
             replace(corpus, dialogs=(updated,), source_bytes=b"")
         ).decode()
         lines = out.strip().split("\n")

@@ -219,6 +219,29 @@ def test_bad_manifest_is_a_parse_error(capsys, tmp_path, smd_file, manifest):
     assert len(lines) == 1 and "manifest" in lines[0]
 
 
+def test_response_holding_a_unicode_line_break_survives_the_pipeline(capsys, tmp_path):
+    # The manifest ends lines at LF only; U+2028 is text, as in the corpus.
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(make_babi_bytes(n_dialogs=40).replace(
+        b"\thello what can i help", "\thello\u2028what can i help".encode(), 1))
+    out = tmp_path / "updated.txt"
+    code, _ = _run(capsys, ["inject", "--input", corpus, "--format", "babi", "--preset",
+                            "babi-table1", "--allow-shortfall", "--output", out])
+    assert code == 0
+    manifest = f"{out}.manifest.tsv"
+    golds = [e.gold_text for e in nman.parse_manifest(Path(manifest).read_bytes()).entries]
+    assert golds[0] == "hello\u2028what can i help you with today"
+    (tmp_path / "gold.txt").write_text("".join(g + "\n" for g in golds), encoding="utf-8")
+    code, _ = _run(capsys, ["eval", "--predictions", tmp_path / "gold.txt", "--manifest",
+                            manifest, "--corpus", out, "--format", "babi", "--output",
+                            tmp_path / "gold"])
+    assert code == 0
+    assert json.loads((tmp_path / "gold.report.json").read_text())["per_dialog_acc"] == 1.0
+    code, _ = _run(capsys, ["baseline", "--corpus", out, "--format", "babi", "--manifest",
+                            manifest, "--out", tmp_path / "baseline.txt"])
+    assert code == 0
+
+
 def _eval_inputs(tmp_path, seed: int, n_dialogs: int):
     """A bAbI corpus file with its exported manifest and gold predictions."""
     corpus = parse_corpus(make_babi_bytes(seed=seed, n_dialogs=n_dialogs), "babi")

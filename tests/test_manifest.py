@@ -68,6 +68,38 @@ class TestManifestSerialization:
         m = export_manifest(_corpus(_dialog()))
         assert parse_manifest(serialize_manifest(m)) == m
 
+    # Every line break of `str.splitlines` but LF and CR; a turn may hold any.
+    @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                             ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"])
+    def test_round_trip_of_a_gold_text_holding_a_unicode_line_break(self, sep):
+        d = _dialog()
+        turns = list(d.turns)
+        turns[3] = Turn(Speaker.AGENT, f"right{sep}here")
+        turns[4] = Turn(Speaker.USER, f"{sep}thanks{sep}")
+        m = export_manifest(_corpus(Dialog(id=d.id, domain=d.domain, turns=tuple(turns))))
+        assert m.entries[1].gold_text == f"right{sep}here"
+        assert parse_manifest(serialize_manifest(m)) == m
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_lone_cr_parse_like_lf(self, newline):
+        m = export_manifest(_corpus(_dialog("smd-0"), _dialog("smd-1")))
+        data = serialize_manifest(m).decode().replace("\n", newline).encode()
+        assert parse_manifest(data) == m
+
+    def test_bad_line_is_named_by_its_number(self):
+        data = b"# corpus_tag=smd:x\r\nsmd-0\t1\thello\r\n\r\nsmd-0\tthree\twelcome\r\n"
+        with pytest.raises(ParseError, match="manifest line 4: turn index 'three' is not an integer"):
+            parse_manifest(data)
+
+    def test_parse_holds_no_list_of_lines(self, babi_corpus, traced):
+        # Beyond the entries it keeps, the parse holds the decoded text and the
+        # entry list, about 1.2 times the file's size. A list of every line as
+        # well (11,634 for the 1,000-dialog fixture) takes it to about twice.
+        data = serialize_manifest(export_manifest(babi_corpus))
+        m, retained, peak = traced(lambda: parse_manifest(data))
+        assert len(m.entries) == 11634
+        assert peak - retained < 1.5 * len(data)
+
     def test_tab_separated_lines(self):
         text = serialize_manifest(export_manifest(_corpus(_dialog()))).decode()
         lines = text.strip().split("\n")

@@ -3,9 +3,13 @@ import json
 import pytest
 from dataclasses import replace
 
+from natvar import smd
 from natvar.babi import ParseError
+from natvar.io import save_corpus, serialize_corpus
+from natvar.model import DialogCorpus, build_global_entities
 from natvar.planner import PlanConfig, execute, plan
-from natvar.smd import parse_smd, serialize_smd
+from natvar.smd import parse_smd, smd_chunks
+from natvar.synthetic import make_smd_bytes
 
 
 def _doc(dialogues):
@@ -109,11 +113,11 @@ class TestParse:
 
 class TestRoundTrip:
     def test_pristine_bytes_shortcut(self, smd_bytes, smd_corpus):
-        assert serialize_smd(smd_corpus) == smd_bytes
+        assert serialize_corpus(smd_corpus) == smd_bytes
 
     def test_canonical_emission_matches_fixture(self, smd_bytes, smd_corpus):
         forced = replace(smd_corpus, source_bytes=b"")
-        assert serialize_smd(forced) == smd_bytes
+        assert serialize_corpus(forced) == smd_bytes
 
     def test_model_round_trip_after_injection(self, small_smd_corpus):
         cfg = PlanConfig(
@@ -122,14 +126,14 @@ class TestRoundTrip:
             histogram_targets=None,
         )
         updated = execute(small_smd_corpus, plan(small_smd_corpus, cfg))
-        reparsed = parse_smd(serialize_smd(updated))
+        reparsed = parse_smd(serialize_corpus(updated))
         assert reparsed == replace(updated, source_bytes=b"")
 
     def test_injected_turns_carry_additive_fields(self, small_smd_corpus):
         cfg = PlanConfig(targets={"open_request_screening": 3}, seed=1,
                          histogram_targets=None)
         updated = execute(small_smd_corpus, plan(small_smd_corpus, cfg))
-        doc = json.loads(serialize_smd(updated))
+        doc = json.loads(serialize_corpus(updated))
         injected = [
             t for el in doc for t in el["dialogue"] if t.get("injected")
         ]
@@ -137,3 +141,158 @@ class TestRoundTrip:
         assert all(t["pattern"] == "open_request_screening" for t in injected)
         # Original consumers still see ordinary turn objects.
         assert all("turn" in t and "data" in t and "utterance" in t["data"] for t in injected)
+
+
+def _reference_doc(corpus, source_doc):
+    """The dialogue objects of `corpus` as the SMD schema defines them: each
+    source dialogue's turn objects and scenario, with an injected turn object
+    at the place of every injected turn."""
+    doc = []
+    for d, el in zip(corpus.dialogs, source_doc):
+        originals = iter(el["dialogue"])
+        turns = [next(originals) if t.is_original else {
+            "turn": "driver" if t.speaker.value == "user" else "assistant",
+            "data": {"end_dialogue": False, "utterance": t.text},
+            "injected": True,
+            "pattern": t.injected_by,
+        } for t in d.turns]
+        doc.append({"dialogue": turns, "scenario": el["scenario"]})
+    return doc
+
+
+# Every kind of JSON value, and strings that need escapes or are not ASCII.
+_ODD_SCENARIO = {
+    "kb": {"items": None, "column_names": [], "kb_title": "caf\u00e9 \u2028 \"q\" \\ \n \t \U0001f697"},
+    "task": {"intent": "weather"},
+    "uuid": "\u00fc\u0000\u007f",
+    "extra": [1, -2.5, 1e-07, 3e+100, True, False, None, {}, [], [[]], {"a": {"b": []}}],
+}
+
+
+class TestStreamedSave:
+    @pytest.fixture(params=["forced-canonical", "injected", "empty", "one-dialogue", "non-ascii"])
+    def case(self, request, smd_bytes, small_smd_corpus):
+        """A corpus that is saved in canonical form, and its reference document."""
+        if request.param == "forced-canonical":
+            return replace(parse_smd(smd_bytes), source_bytes=b""), json.loads(smd_bytes)
+        if request.param == "injected":
+            cfg = PlanConfig(targets={"open_request_screening": 4, "capability_expansion": 4},
+                             seed=2, histogram_targets=None)
+            updated = execute(small_smd_corpus, plan(small_smd_corpus, cfg))
+            assert not updated.is_pristine
+            return updated, _reference_doc(updated, json.loads(small_smd_corpus.source_bytes))
+        if request.param == "empty":
+            return DialogCorpus(dialogs=(), source_format="smd"), []
+        d = _dialogue(n_exchanges=2)
+        if request.param == "non-ascii":
+            d["scenario"] = _ODD_SCENARIO
+            d["dialogue"][0]["data"]["utterance"] = "\u00bfd\u00f3nde est\u00e1 el caf\u00e9? \u2603"
+            d["dialogue"][0]["data"]["slots"] = {"poi": "caf\u00e9"}
+        doc = [d]
+        return replace(parse_smd(_doc(doc)), source_bytes=b""), doc
+
+    def test_chunks_are_the_indented_dump(self, case):
+        corpus, doc = case
+        expected = (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+        chunks = list(smd_chunks(corpus))
+        assert b"".join(chunks) == expected
+        assert len(chunks) == len(corpus.dialogs) + 1  # one per dialogue, and the close
+        assert serialize_corpus(corpus) == expected
+
+    def test_saved_file_is_the_indented_dump(self, case, tmp_path):
+        corpus, doc = case
+        assert save_corpus(corpus, tmp_path / "c.json") == [tmp_path / "c.json"]
+        expected = (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+        assert (tmp_path / "c.json").read_bytes() == expected
+
+    def test_pristine_corpus_is_one_chunk_of_its_source_bytes(self, smd_bytes, smd_corpus):
+        assert list(smd_chunks(smd_corpus)) == [smd_bytes]
+
+    def test_save_holds_one_dialogue_at_a_time(self, smd_bytes, smd_corpus, tmp_path, traced):
+        # A whole-document dump holds every dialogue object and every token of
+        # the file at once, about ten times the file's size for the 304-dialog
+        # fixture; one dialogue's objects and text are a few kilobytes.
+        forced = replace(smd_corpus, source_bytes=b"")
+        _, _, peak = traced(lambda: save_corpus(forced, tmp_path / "c.json"))
+        assert (tmp_path / "c.json").read_bytes() == smd_bytes
+        assert peak < len(smd_bytes) // 4
+
+
+def _whole_file_parse(data: bytes) -> DialogCorpus:
+    dialogs = tuple(smd._parse_dialogue(el, i) for i, el in enumerate(json.loads(data)))
+    return DialogCorpus(dialogs=dialogs, source_format="smd",
+                        global_entities=build_global_entities(dialogs), source_bytes=data)
+
+
+class TestStreamedParse:
+    @pytest.mark.parametrize("n_dialogs", [0, 1, 30, 304])
+    def test_model_equals_the_whole_file_parse(self, n_dialogs, monkeypatch):
+        data = make_smd_bytes(n_dialogs=n_dialogs) if n_dialogs else b" [\r\n\t] \n"
+        reference = _whole_file_parse(data)
+        # A well-formed file is never decoded whole.
+        monkeypatch.setattr(json, "loads", lambda *a, **k: pytest.fail("json.loads called"))
+        corpus = parse_smd(data)
+        assert corpus == reference
+        assert corpus.global_entities == reference.global_entities
+        assert corpus.source_bytes is data
+
+    def test_unusual_but_valid_layout_parses(self):
+        els = [_dialogue(n_exchanges=1), _dialogue(domain="weather", n_exchanges=2)]
+        data = ("\r\n [ \t" + " ,\n\r ".join(json.dumps(e) for e in els) + "\t]\r\n").encode()
+        assert parse_smd(data) == parse_smd(_doc(els))
+
+    @pytest.mark.parametrize("data", [
+        b"",
+        b"  \n",
+        b"\xef\xbb\xbf[]",
+        b"\x0c[]",
+        b'{"dialogue": []}',
+        b"3",
+        b"[",
+        b"[,]",
+        b"[] []",
+        b"[ ] x",
+        b"[" * 100_000,
+        b"[" + b"[" * 100_000 + b"]" * 100_000 + b"]",
+        b'[1, {"a"',
+    ], ids=["empty", "whitespace", "bom", "form-feed", "object", "number", "open", "lone-comma",
+            "two-arrays", "trailing-data", "deep-open", "deep-nesting", "bad-dialogue-then-bad-json"])
+    def test_malformed_file_gives_the_json_loads_message(self, data):
+        self._assert_json_loads_message(data)
+
+    @pytest.mark.parametrize("edit", [
+        lambda b: b[: len(b) // 2],
+        lambda b: b.replace(b"},\n  {", b"}\n  {", 1),
+        lambda b: b.replace(b"},\n  {", b"},,{", 1),
+        lambda b: b.rstrip()[:-1].rstrip() + b",]",
+        lambda b: b + b"x",
+        lambda b: b"\xef\xbb\xbf" + b,
+    ], ids=["truncated", "missing-comma", "double-comma", "trailing-comma", "trailing-data", "bom"])
+    def test_damaged_file_gives_the_json_loads_message(self, edit):
+        self._assert_json_loads_message(edit(make_smd_bytes(n_dialogs=4)))
+
+    @staticmethod
+    def _assert_json_loads_message(data):
+        try:
+            doc = json.loads(data.decode("utf-8"))
+        except (ValueError, RecursionError) as e:
+            expected = f"not valid SMD JSON: {e}"
+        else:
+            assert not isinstance(doc, list)
+            expected = "SMD file must be a JSON array of dialogues"
+        with pytest.raises(ParseError) as info:
+            parse_smd(data)
+        assert str(info.value) == expected
+
+    def test_malformed_dialogue_in_valid_json_keeps_its_message(self):
+        els = [_dialogue(), _dialogue(domain="flights")]
+        with pytest.raises(ParseError, match=r"^dialog 1: unknown domain 'flights'$"):
+            parse_smd(_doc(els))
+
+    def test_parse_holds_one_dialogue_tree_at_a_time(self, smd_bytes, traced):
+        # Beyond what the corpus keeps, the parse holds the decoded text (one
+        # byte a character here) and one dialogue's objects. The whole-file
+        # tree of the 304-dialog fixture is about three times the file's size.
+        corpus, retained, peak = traced(lambda: parse_smd(smd_bytes))
+        assert len(corpus.dialogs) == 304
+        assert peak - retained < 2 * len(smd_bytes)

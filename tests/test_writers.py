@@ -15,6 +15,7 @@ from natvar.io import save_corpus, serialize_corpus
 from natvar.manifest import export_manifest, serialize_manifest
 from natvar.model import Dialog, DialogCorpus, ModelError, Speaker, Turn, content_digest
 from natvar.planner import PlanConfig, execute, plan
+from natvar.stats import corpus_stats
 
 TARGETS = {"open_request_screening": 5, "misunderstanding_report": 5}
 
@@ -56,6 +57,26 @@ def test_in_memory_digest_is_the_hash_of_the_joined_payloads(small_babi_corpus, 
         assert content_digest(corpus) == hashlib.sha256(b"\x1e".join(payloads)).hexdigest()
     empty = DialogCorpus(dialogs=(), source_format="babi")
     assert content_digest(empty) == hashlib.sha256(b"").hexdigest()
+
+
+def test_stats_checksum_is_the_hash_of_the_file_bytes(corpus):
+    expected = hashlib.sha256(corpus.source_bytes or serialize_corpus(corpus)).hexdigest()
+    assert corpus_stats(corpus).checksum == expected
+
+
+def test_stats_checksum_of_an_empty_corpus():
+    for fmt, text in (("babi", b"\n"), ("smd", b"[]\n")):
+        empty = DialogCorpus(dialogs=(), source_format=fmt)
+        assert corpus_stats(empty).checksum == hashlib.sha256(text).hexdigest()
+
+
+def test_stats_hashes_an_in_memory_corpus_chunk_by_chunk(smd_bytes, smd_corpus, traced):
+    # The serialized file is about ten times its size in transient objects
+    # when it is built whole; one dialogue at a time, a few kilobytes.
+    forced = replace(smd_corpus, source_bytes=b"")
+    stats, _, peak = traced(lambda: corpus_stats(forced))
+    assert stats.checksum == hashlib.sha256(smd_bytes).hexdigest()
+    assert peak < len(smd_bytes) // 4
 
 
 def test_odd_turn_count_leaves_no_file(tmp_path):
