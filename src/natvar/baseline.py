@@ -48,11 +48,12 @@ class CandidateSet:
 
 
 def load_candidates(data: bytes) -> CandidateSet:
-    """One candidate per line, deduplicated keeping first occurrence. The bAbI
-    numbering, an ASCII-decimal token and a space before every non-empty line,
-    is stripped with the spaces after it; any other file is kept verbatim,
-    real leading numbers too."""
-    lines = [line.strip() for line in decode_utf8(data, "candidate file").splitlines() if line.strip()]
+    """One candidate per line, deduplicated keeping first occurrence; lines
+    end only at LF, CR or CRLF. The bAbI numbering, an ASCII-decimal token and
+    a space before every non-empty line, is stripped with the spaces after it;
+    any other file is kept verbatim, real leading numbers too."""
+    text = decode_utf8(data, "candidate file").replace("\r\n", "\n").replace("\r", "\n")
+    lines = [line.strip() for line in text.split("\n") if line.strip()]
     if all(re.match(r"[0-9]+ ", line) for line in lines):
         lines = [line.partition(" ")[2].lstrip() for line in lines]
     out = list(dict.fromkeys(lines))

@@ -289,7 +289,7 @@ def cmd_review(args) -> int:
 def cmd_baseline(args) -> int:
     from .baseline import candidates_from_corpus, load_candidates, predict
     from .io import load_corpus, sha256_hex
-    from .manifest import export_manifest, parse_manifest
+    from .manifest import check_corpus, export_manifest, parse_manifest
 
     corpus = load_corpus(args.corpus, args.format)
     if args.candidates:
@@ -298,6 +298,7 @@ def cmd_baseline(args) -> int:
         candidates = candidates_from_corpus(corpus)
     if args.manifest:
         manifest = parse_manifest(Path(args.manifest).read_bytes())
+        check_corpus(manifest, corpus)
     else:
         manifest = export_manifest(corpus)
     preds = predict(corpus, manifest, candidates)

@@ -28,6 +28,7 @@ from .recipes import (
     Anchor,
     PATTERN_ORDER,
     find_anchors,
+    iter_anchors,
     keyed_rng,
     patterns_for_dataset,
     splice,
@@ -231,17 +232,12 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
 
     order = [p for p in PATTERN_ORDER if cfg.targets.get(p, 0) > 0]
     dialog_pos = {d.id: i for i, d in enumerate(corpus.dialogs)}
-    anchors: dict[tuple[str, str], list[Anchor]] = {}
-    eligible: dict[str, list[str]] = {}
-    for p in order:
-        recipe = RECIPES[p]
-        ids = []
-        for d in corpus.dialogs:
-            found = find_anchors(recipe, d, cfg.seed)
-            if found:
-                anchors[(d.id, p)] = found
-                ids.append(d.id)
-        eligible[p] = ids
+    # A dialog's first anchor decides eligibility; picked dialogs list all below.
+    eligible = {
+        p: [d.id for d in corpus.dialogs
+            if next(iter_anchors(RECIPES[p], d, cfg.seed), None) is not None]
+        for p in order
+    }
 
     shortfalls = [
         (p, cfg.targets[p], len(eligible[p]))
@@ -288,18 +284,16 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
             chosen = rng.sample(cands, need)
         else:
             chosen = _biased_pick(cands, need, count, achieved, hist, rng)
+        # `order` follows PATTERN_ORDER: assignments go out by priority, then corpus order.
         chosen.sort(key=lambda did: dialog_pos[did])
         for did in chosen:
-            options = anchors[(did, p)]
+            options = find_anchors(RECIPES[p], corpus.dialogs[dialog_pos[did]], cfg.seed)
             pick = 0  # randrange(1) is always 0: a lone anchor needs no generator
             if len(options) > 1:
                 pick = keyed_rng(cfg.seed, did, p, "anchor-pick").randrange(len(options))
             assignments.append(Assignment(did, p, options[pick]))
             count[did] += 1
 
-    # Emit in stable order: pattern priority, then corpus order.
-    pattern_rank = {p: i for i, p in enumerate(PATTERN_ORDER)}
-    assignments.sort(key=lambda a: (pattern_rank[a.pattern], dialog_pos[a.dialog_id]))
     return InjectionPlan(
         assignments=tuple(assignments),
         corpus_digest=content_digest(corpus),

@@ -11,7 +11,11 @@ Anchor heuristics key off the dialog annotations (slot values, question
 forms, knowledge-base contents). Where a slip or a corrupted answer is
 needed, the distractor is the value of the same attribute drawn from the
 dialog's KB (falling back to the fixed slot vocabulary for the restaurant
-corpus); dialogs without any distractor simply yield no anchor.
+corpus); dialogs without any distractor simply yield no anchor. A finder is
+a generator of the dialog's anchors in turn order, so its first anchor
+decides eligibility. It draws in turn order from one generator keyed by
+(seed, dialog, pattern), and no draw decides whether an anchor exists, only
+what it binds: a fresh call yields the same anchors.
 
 `RECIPES` is the one registry of recipe patterns: a row declares the
 pattern's name, anchor kind, template, datasets and anchor finder, and the
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -65,9 +69,9 @@ class PatternRecipe:
     anchor_kind: AnchorKind
     template: tuple[TemplateTurn, ...]
     datasets: frozenset[str]
-    # Anchors in a dialog; the second argument makes the dialog's keyed
-    # generator, which a finder that draws calls once.
-    find: Callable[[Dialog, Callable[[], random.Random]], list[Anchor]]
+    # Yields a dialog's anchors in turn order; the second argument makes the
+    # dialog's keyed generator, which a finder that draws calls once.
+    find: Callable[[Dialog, Callable[[], random.Random]], Iterator[Anchor]]
 
     def __post_init__(self):
         for i in range(1, len(self.template)):
@@ -160,28 +164,28 @@ def _swap_span(text: str, canonical: str, replacement: str) -> str | None:
 
 # --- anchor heuristics ---------------------------------------------------
 
-def find_anchors(recipe: PatternRecipe, d: Dialog, seed: int = 0) -> list[Anchor]:
-    """Structurally valid anchors for `recipe` in `d`, ordered by turn index.
-
-    An empty list means the pattern is not applicable to the dialog. Bound
-    values (distractors, enumerations, examples) are resolved here, with
-    value draws keyed by (seed, dialog id, pattern name).
-    """
+def iter_anchors(recipe: PatternRecipe, d: Dialog, seed: int = 0) -> Iterator[Anchor]:
+    """Structurally valid anchors for `recipe` in `d`, yielded by turn index;
+    none means the pattern is not applicable to the dialog. Bound values
+    (distractors, enumerations, examples) are resolved here, with value
+    draws keyed by (seed, dialog id, pattern name)."""
     dataset = "babi" if d.domain == "restaurant" else "smd"
-    if dataset not in recipe.datasets or not d.turns:
-        return []
-    return recipe.find(d, partial(keyed_rng, seed, d.id, recipe.name, "anchors"))
+    if dataset in recipe.datasets and d.turns:
+        yield from recipe.find(d, partial(keyed_rng, seed, d.id, recipe.name, "anchors"))
 
 
-def _anchors_screening(d: Dialog, new_rng) -> list[Anchor]:
-    if d.turns[0].speaker is not Speaker.USER:
-        return []
-    intent = _INTENT_PHRASES[d.domain]
-    return [Anchor(d.id, 0, (("intent", intent),))]
+def find_anchors(recipe: PatternRecipe, d: Dialog, seed: int = 0) -> list[Anchor]:
+    """Every anchor of `iter_anchors`; an empty list means not applicable."""
+    return list(iter_anchors(recipe, d, seed))
 
 
-def _anchors_user_detail(d: Dialog, new_rng) -> list[Anchor]:
-    anchors = []
+def _anchors_screening(d: Dialog, new_rng) -> Iterator[Anchor]:
+    if d.turns[0].speaker is Speaker.USER:
+        intent = _INTENT_PHRASES[d.domain]
+        yield Anchor(d.id, 0, (("intent", intent),))
+
+
+def _anchors_user_detail(d: Dialog, new_rng) -> Iterator[Anchor]:
     for i, t in enumerate(d.turns):
         if t.speaker is not Speaker.USER or i == 0:
             continue
@@ -197,15 +201,14 @@ def _anchors_user_detail(d: Dialog, new_rng) -> list[Anchor]:
         if len(values) < 2:
             continue
         options = ", ".join(entity_display(v) for v in values)
-        anchors.append(Anchor(d.id, i, (("options", options),)))
-    return anchors
+        yield Anchor(d.id, i, (("options", options),))
 
 
-def _anchors_example(d: Dialog, new_rng) -> list[Anchor]:
+def _anchors_example(d: Dialog, new_rng) -> Iterator[Anchor]:
+    """Draws each example after its turn qualifies as an anchor."""
     if not d.kb.entries:
-        return []
+        return
     rng = new_rng()
-    anchors = []
     for i, t in enumerate(d.turns):
         if t.speaker is not Speaker.AGENT or not t.is_original:
             continue
@@ -215,79 +218,60 @@ def _anchors_example(d: Dialog, new_rng) -> list[Anchor]:
             continue
         subjects = d.kb.subjects()
         example = entity_display(subjects[rng.randrange(len(subjects))])
-        anchors.append(Anchor(d.id, i, (("example", example),)))
-    return anchors
+        yield Anchor(d.id, i, (("example", example),))
 
 
-def _anchors_misunderstanding(d: Dialog, new_rng) -> list[Anchor]:
+def _anchors_misunderstanding(d: Dialog, new_rng) -> Iterator[Anchor]:
+    """Draws distractors span by span, each span's stopping at its first
+    attribute that has one, until one swaps in. Only an empty candidate list
+    or an absent span rules a span out, never a draw."""
     lexicon = d.entity_lexicon()
     if not lexicon:
-        return []
+        return
     rng = new_rng()
-    anchors = []
     for i, t in enumerate(d.turns):
         if t.speaker is not Speaker.AGENT or not t.is_original or i == 0:
             continue
-        spans = entity_spans(t.text, lexicon)
-        bound = None
-        for _, _, ent in spans:
-            for attr in d.kb.attributes_of(ent):
-                distr = _distractor(d.kb, d.domain, attr, ent, rng)
-                if distr is not None:
-                    corrupted = _swap_span(t.text, ent, distr)
-                    if corrupted:
-                        bound = (
-                            ("corrupted_answer", corrupted),
-                            ("prior_request", d.turns[i - 1].text),
-                        )
-                    break
-            if bound:
+        for _, _, ent in entity_spans(t.text, lexicon):
+            distrs = (_distractor(d.kb, d.domain, attr, ent, rng) for attr in d.kb.attributes_of(ent))
+            distr = next((x for x in distrs if x is not None), None)
+            corrupted = distr is not None and _swap_span(t.text, ent, distr)
+            if corrupted:
+                yield Anchor(d.id, i, (("corrupted_answer", corrupted),
+                                       ("prior_request", d.turns[i - 1].text)))
                 break
-        if bound:
-            anchors.append(Anchor(d.id, i, bound))
-    return anchors
 
 
-def _anchors_slip(d: Dialog, new_rng) -> list[Anchor]:
+def _anchors_slip(d: Dialog, new_rng) -> Iterator[Anchor]:
+    """Draws distractors slot by slot until one swaps in. Only an empty
+    candidate list or an absent span rules a slot out, never a draw."""
     rng = new_rng()
-    anchors = []
     for i, t in enumerate(d.turns):
         if t.speaker is not Speaker.USER or not t.is_original:
             continue
-        bound = None
         for slot, raw in sorted(t.slots().items()):
             value = normalize_entity(raw)
             distr = _distractor(d.kb, d.domain, slot, value, rng)
             if distr is None:
                 continue
             slip = _swap_span(t.text, value, distr)
-            if slip is None:
-                continue
-            bound = (
-                ("slip_utterance", slip),
-                ("value", entity_display(value)),
-                ("distractor", entity_display(distr)),
-            )
-            break
-        if bound:
-            anchors.append(Anchor(d.id, i, bound))
-    return anchors
+            if slip is not None:
+                yield Anchor(d.id, i, (("slip_utterance", slip), ("value", entity_display(value)),
+                                       ("distractor", entity_display(distr))))
+                break
 
 
-def _anchors_not_helped(d: Dialog, new_rng) -> list[Anchor]:
+def _anchors_not_helped(d: Dialog, new_rng) -> Iterator[Anchor]:
     markers = _BABI_UNHELPFUL_MARKERS if d.domain == "restaurant" else _SMD_UNHELPFUL_MARKERS
-    anchors = []
     for i, t in enumerate(d.turns):
         if t.speaker is not Speaker.AGENT or not t.is_original:
             continue
         low = t.text.lower()
         if any(m in low for m in markers):
-            anchors.append(Anchor(d.id, i))
-    return anchors
+            yield Anchor(d.id, i)
 
 
-def _anchors_repaired(d: Dialog, new_rng) -> list[Anchor]:
-    anchors = []
+def _anchors_repaired(d: Dialog, new_rng) -> Iterator[Anchor]:
     for i in range(2, len(d.turns)):
         t = d.turns[i]
         if t.speaker is not Speaker.AGENT or not t.is_original:
@@ -295,27 +279,24 @@ def _anchors_repaired(d: Dialog, new_rng) -> list[Anchor]:
         asked = d.turns[i - 2]
         if asked.speaker is Speaker.AGENT and asked.is_original \
                 and _is_question(asked.text, d.domain) and not _is_question(t.text, d.domain):
-            anchors.append(Anchor(d.id, i))
-    return anchors
+            yield Anchor(d.id, i)
 
 
-def _anchors_capability(d: Dialog, new_rng) -> list[Anchor]:
+def _anchors_capability(d: Dialog, new_rng) -> Iterator[Anchor]:
     if d.turns[0].speaker is not Speaker.USER:
-        return []
+        return
     caps = _BABI_CAPABILITIES if d.domain == "restaurant" else _SMD_CAPABILITIES
     bound = [("capabilities", ", ".join(c for c, _ in caps))]
     for k, (cap, example) in enumerate(caps, start=1):
         bound.append((f"capability_{k}", cap))
         bound.append((f"example_{k}", example))
-    return [Anchor(d.id, 0, tuple(bound))]
+    yield Anchor(d.id, 0, tuple(bound))
 
 
-def _anchors_recipient(d: Dialog, new_rng) -> list[Anchor]:
-    return [
-        Anchor(d.id, i)
-        for i, t in enumerate(d.turns)
-        if t.speaker is Speaker.USER and t.is_original
-    ]
+def _anchors_recipient(d: Dialog, new_rng) -> Iterator[Anchor]:
+    for i, t in enumerate(d.turns):
+        if t.speaker is Speaker.USER and t.is_original:
+            yield Anchor(d.id, i)
 
 
 # --- the recipe table -----------------------------------------------------

@@ -50,6 +50,13 @@ class TestLoadCandidates:
     def test_unnumbered_file_kept_verbatim(self, data, expected):
         assert load_candidates(data).responses == expected
 
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_lines_end_only_at_lf_cr_or_crlf(self, brk):
+        # bAbI turns end at "\n" only, so a response may hold any other line
+        # break; it stays one candidate and the file stays numbered.
+        data = f"1 resto{brk}x\r\n2 bye\r3 ok\n".encode()
+        assert load_candidates(data).responses == (f"resto{brk}x", "bye", "ok")
+
     def test_dedup_keeps_first(self):
         cs = load_candidates(b"a b\nc d\na b\n")
         assert cs.responses == ("a b", "c d")

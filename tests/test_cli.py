@@ -273,6 +273,24 @@ def test_eval_against_a_corpus_the_manifest_does_not_fit(capsys, tmp_path, edit,
     assert len(lines) == 1 and message in lines[0], lines
 
 
+def test_baseline_against_a_corpus_the_manifest_does_not_fit(capsys, tmp_path):
+    # The pristine corpus's manifest names turns that injection has shifted.
+    corpus, manifest, preds = _eval_inputs(tmp_path, seed=1, n_dialogs=6)
+    updated = tmp_path / "updated.txt"
+    code, _ = _run(capsys, ["inject", "--input", corpus, "--format", "babi", "--preset",
+                            "babi-table1", "--allow-shortfall", "--output", updated])
+    assert code == 0
+    code, eval_lines = _run(capsys, ["eval", "--predictions", preds, "--manifest", manifest,
+                                     "--corpus", updated, "--format", "babi"])
+    assert code == 2
+    out = tmp_path / "baseline.txt"
+    code, lines = _run(capsys, ["baseline", "--corpus", updated, "--format", "babi",
+                                "--manifest", manifest, "--out", out])
+    assert code == 2
+    assert lines == eval_lines and len(lines) == 1 and "manifest entry babi-" in lines[0]
+    assert not out.exists()
+
+
 def test_eval_serializes_the_manifest_once(capsys, tmp_path, monkeypatch):
     # read_predictions and the metric walk both check the manifest digest.
     corpus, manifest, preds = _eval_inputs(tmp_path, seed=1, n_dialogs=6)

@@ -20,7 +20,14 @@ from natvar.planner import (
     render_review,
     sample_review,
 )
-from natvar.recipes import RECIPES, InjectionError, inject, patterns_for_dataset
+from natvar.recipes import (
+    RECIPES,
+    InjectionError,
+    find_anchors,
+    inject,
+    iter_anchors,
+    patterns_for_dataset,
+)
 from natvar.synthetic import make_babi_bytes, make_smd_bytes
 
 
@@ -104,6 +111,31 @@ class TestPlan:
         for a in pln.assignments:
             per_dialog[a.dialog_id] = per_dialog.get(a.dialog_id, 0) + 1
         assert max(per_dialog.values()) <= 2
+
+    def test_plan_holds_no_table_of_anchors(self, babi_corpus, traced):
+        # Eligibility needs only each dialog's first anchor. The stage holds
+        # about 0.2 MB beyond the plan it returns; a table of every anchor of
+        # every eligible (dialog, pattern) pair, 10,334 here, adds about 3.5 MB.
+        cfg = preset_config("babi-table1", seed=0)
+        pln, retained, peak = traced(lambda: plan(babi_corpus, cfg))
+        assert len(pln.assignments) == 2844
+        assert peak - retained < 1_000_000
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("fmt", ["smd", "babi"])
+def test_first_anchor_decides_eligibility(request, fmt, seed):
+    # `plan` keeps only first-anchor eligibility and finds a picked dialog's
+    # anchors afresh, which is exact only if both agree with the full list.
+    corpus = request.getfixturevalue(f"{fmt}_corpus")
+    for p in patterns_for_dataset(fmt):
+        recipe = RECIPES[p]
+        for d in corpus.dialogs:
+            found = find_anchors(recipe, d, seed)
+            first = next(iter_anchors(recipe, d, seed), None)
+            assert (first is not None) == bool(found)
+            assert first == (found[0] if found else None)
+            assert find_anchors(recipe, d, seed) == found
 
 
 class TestExecute:
