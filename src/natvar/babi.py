@@ -16,6 +16,8 @@ written together with a sidecar file (one line per dialog) recording which
 turn indices are injected and by which pattern:
 
     babi-12: 0=open_request_screening,1=open_request_screening
+
+Both files are read line by line as `natvar.io.decode_lines` splits them.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterable, Iterator
 
-from . import NatvarError
-from .catalog import CATALOG
+from .catalog import check_pattern_name
+from .io import ParseError, decode_lines, numbered_lines
 from .model import (
     Dialog,
     DialogCorpus,
@@ -35,18 +37,6 @@ from .model import (
     build_global_entities,
     memo,
 )
-
-
-class ParseError(NatvarError):
-    """Malformed corpus, prediction, or sidecar input."""
-
-
-def decode_utf8(data: bytes, what: str) -> str:
-    """`data` as UTF-8 text; a ParseError names `what` and the first bad byte."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{what} is not valid UTF-8 at byte {e.start}") from e
 
 
 # Fixed value vocabulary of the bAbI restaurant simulator. Used both as the
@@ -60,8 +50,7 @@ BABI_SLOT_VALUES: dict[str, tuple[str, ...]] = {
     "price": ("cheap", "moderate", "expensive"),
 }
 
-# The pattern names an injected turn may carry: those with a recipe.
-_RECIPE_PATTERNS = frozenset(e.name for e in CATALOG if e.has_recipe)
+_LEXICON = frozenset(v for values in BABI_SLOT_VALUES.values() for v in values)
 
 # api_call argument positions, per the task-5 generator.
 API_CALL_SLOTS = ("cuisine", "location", "number", "price")
@@ -73,13 +62,6 @@ SLOT_QUESTIONS: dict[str, str] = {
     "how many people would be in your party": "number",
     "which price range are looking for": "price",
 }
-
-
-def babi_lexicon() -> set[str]:
-    lex: set[str] = set()
-    for values in BABI_SLOT_VALUES.values():
-        lex.update(values)
-    return lex
 
 
 def slot_for_question(text: str) -> str | None:
@@ -121,7 +103,7 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     error is raised again and named by its own line, and each line's index is
     checked on its own. The caches die with the call.
     """
-    text = decode_utf8(data, "bAbI file").replace("\r\n", "\n").replace("\r", "\n")
+    text = decode_lines(data, "bAbI file")
     injected = _parse_sidecar(origin_sidecar) if origin_sidecar else {}
 
     turn = functools.cache(Turn)
@@ -138,7 +120,7 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     return DialogCorpus(
         dialogs=dialogs,
         source_format="babi",
-        global_entities=build_global_entities(dialogs, babi_lexicon()),
+        global_entities=build_global_entities(dialogs, _LEXICON),
         source_bytes=data,
     )
 
@@ -157,15 +139,6 @@ def _blocks(text: str):
             block = []
     if block:
         yield block
-
-
-def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Each (1-based number, line) of `text`, split at "\\n" only, one at a time."""
-    start, lineno = 0, 1
-    while (stop := text.find("\n", start)) >= 0:
-        yield lineno, text[start:stop]
-        start, lineno = stop + 1, lineno + 1
-    yield lineno, text[start:]
 
 
 def _line_body(turn, user_tokens, rest: str) -> tuple:
@@ -330,17 +303,11 @@ def _sidecar_line(d: Dialog) -> str:
     return f"{d.id}: {marks}".rstrip()
 
 
-def check_pattern_name(name, where: str) -> None:
-    """Raise ParseError unless `name` is a recipe-bearing pattern."""
-    if not isinstance(name, str) or name not in _RECIPE_PATTERNS:
-        raise ParseError(f"{where}: unknown pattern {name!r}")
-
-
 def _parse_sidecar(data: bytes) -> dict[str, dict[int, str]]:
     out: dict[str, dict[int, str]] = {}
     # item text -> (turn index, pattern), filled by successful parses only
     items: dict[str, tuple[int, str]] = {}
-    for lineno, line in enumerate(decode_utf8(data, "sidecar").splitlines(), start=1):
+    for lineno, line in numbered_lines(decode_lines(data, "sidecar")):
         if not line.strip():
             continue
         did, sep, rest = line.partition(":")

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import NatvarError
-from .babi import ParseError, decode_utf8
+from .io import ParseError, decode_lines
 from .manifest import EvalManifest, PredictionSet
 from .model import DialogCorpus, Turn
 
@@ -52,8 +52,7 @@ def load_candidates(data: bytes) -> CandidateSet:
     end only at LF, CR or CRLF. The bAbI numbering, an ASCII-decimal token and
     a space before every non-empty line, is stripped with the spaces after it;
     any other file is kept verbatim, real leading numbers too."""
-    text = decode_utf8(data, "candidate file").replace("\r\n", "\n").replace("\r", "\n")
-    lines = [line.strip() for line in text.split("\n") if line.strip()]
+    lines = [line.strip() for line in decode_lines(data, "candidate file").split("\n") if line.strip()]
     if all(re.match(r"[0-9]+ ", line) for line in lines):
         lines = [line.partition(" ")[2].lstrip() for line in lines]
     out = list(dict.fromkeys(lines))
@@ -113,7 +112,7 @@ class TfIdfScorer:
 
     def score(self, history: list[Turn], candidate_index: int) -> float:
         """Cosine similarity of the concatenated history and one candidate.
-        The reference that `best` reproduces bit for bit."""
+        The reference that `best_for_bag` reproduces bit for bit."""
         if not history:
             raise BaselineError("empty history")
         h = self._vector(" ".join(t.text for t in history).lower().split())
@@ -131,18 +130,10 @@ class TfIdfScorer:
         """Count `turn`'s in-vocabulary tokens into a history bag."""
         bag.update(t for t in turn.text.lower().split() if t in self._idf)
 
-    def best(self, history: list[Turn]) -> int:
-        """Index of the highest `score` over all candidates; the lowest index
-        on a tie, so 0 when every score is 0."""
-        if not history:
-            raise BaselineError("empty history")
-        bag: Counter = Counter()
-        for turn in history:
-            self.add_turn(bag, turn)
-        return self.best_for_bag(bag)
-
     def best_for_bag(self, bag: Counter) -> int:
-        """`best` for a history bag built with `add_turn`."""
+        """Index of the highest `score` over all candidates, for the history
+        whose turns `add_turn` counted into `bag`; the lowest index on a tie,
+        so 0 when every score is 0 or the bag is empty."""
         h = [(t, tf * self._idf[t]) for t, tf in bag.items()]
         dots: dict[int, float] = {}
         for t, w in h:

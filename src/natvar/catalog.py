@@ -3,7 +3,8 @@
 32 patterns drawn from a 100-pattern interaction-pattern language, in
 three classes: A (conversational activity), B (sequence-level management)
 and C (conversation-level management). Nine of them carry injection
-recipes; the rest are registered as metadata only.
+recipes; the rest are registered as metadata only. `check_pattern_name`
+checks, for every input format, that an injected turn names one of those.
 """
 
 from __future__ import annotations
@@ -86,3 +87,12 @@ CATALOG: tuple[PatternCatalogEntry, ...] = (
            "user indicates they were talking to someone other than the agent",
            has_recipe=True),
 )
+
+_RECIPE_PATTERNS = frozenset(e.name for e in CATALOG if e.has_recipe)
+
+
+def check_pattern_name(name, where: str) -> None:
+    """Raise ParseError unless `name` is a recipe-bearing pattern."""
+    if not isinstance(name, str) or name not in _RECIPE_PATTERNS:
+        from .io import ParseError  # not at the top, where `natvar patterns` would load io and model
+        raise ParseError(f"{where}: unknown pattern {name!r}")

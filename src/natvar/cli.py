@@ -9,6 +9,10 @@ Exit codes: 0 success, 1 usage/configuration error, 2 parse or data error,
 3 planner shortfall (too few eligible dialogs, or too few under the
 per-dialog cap). Diagnostics go to stderr; stdout carries data only when
 --output is absent.
+
+Inputs are UTF-8. A bAbI corpus, its .origin sidecar, a manifest, a candidate
+file and a prediction file are read line by line, and a line ends at LF, CR
+or CRLF only; an SMD corpus, --config and --compare files are JSON.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"natvar {__version__}")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_corpus_args(sp, input_flag="--input"):
-        sp.add_argument(input_flag, required=True, help="corpus file")
+    def add_corpus_args(sp):
+        sp.add_argument("--input", required=True, help="corpus file")
         sp.add_argument("--format", required=True, choices=("babi", "smd"))
 
     def add_plan_args(sp):

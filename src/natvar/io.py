@@ -1,15 +1,47 @@
-"""File-level load/save dispatch for both corpus formats."""
+"""The input plumbing every reader shares, and file-level load/save dispatch.
+
+Inputs are UTF-8, and a bad one raises `ParseError`. `decode_lines` alone
+says where a line of a line-oriented input ends: at LF, CR or CRLF, never at
+another Unicode line break. A format's module is imported on first use.
+"""
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from .babi import babi_chunks, parse_babi, sidecar_chunks
+from . import NatvarError
 from .model import DialogCorpus
 
 FORMATS = ("babi", "smd")
+
+
+class ParseError(NatvarError):
+    """Malformed input: a corpus, sidecar, manifest, candidate, prediction or report file."""
+
+
+def decode_utf8(data: bytes, what: str) -> str:
+    """`data` as UTF-8 text; a ParseError names `what` and the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{what} is not valid UTF-8 at byte {e.start}") from e
+
+
+def decode_lines(data: bytes, what: str) -> str:
+    """`data` as UTF-8 text (see `decode_utf8`) whose lines all end at "\\n":
+    CRLF and a lone CR become LF, and no other character ends a line."""
+    return decode_utf8(data, what).replace("\r\n", "\n").replace("\r", "\n")
+
+
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each (1-based number, line) of `text`, split at "\\n" only, one at a time."""
+    start, lineno = 0, 1
+    while (stop := text.find("\n", start)) >= 0:
+        yield lineno, text[start:stop]
+        start, lineno = stop + 1, lineno + 1
+    yield lineno, text[start:]
 
 
 def sha256_hex(data: bytes) -> str:
@@ -18,9 +50,10 @@ def sha256_hex(data: bytes) -> str:
 
 def parse_corpus(data: bytes, fmt: str, origin_sidecar: bytes | None = None) -> DialogCorpus:
     if fmt == "babi":
+        from .babi import parse_babi
         return parse_babi(data, origin_sidecar)
     if fmt == "smd":
-        from .smd import parse_smd  # only SMD input compiles the SMD parser
+        from .smd import parse_smd
         return parse_smd(data)
     raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
 
@@ -32,6 +65,7 @@ def serialize_corpus(corpus: DialogCorpus) -> bytes:
 def corpus_chunks(corpus: DialogCorpus) -> Iterable[bytes]:
     """The file of `corpus` in its format, as chunks to write in order."""
     if corpus.source_format == "babi":
+        from .babi import babi_chunks
         return babi_chunks(corpus)
     from .smd import smd_chunks
     return smd_chunks(corpus)
@@ -68,6 +102,7 @@ def save_corpus(corpus: DialogCorpus, path: str | Path) -> list[Path]:
     write_chunks(path, corpus_chunks(corpus))
     if corpus.source_format != "babi" or corpus.is_pristine:
         return [path]
+    from .babi import sidecar_chunks
     sidecar_path = Path(str(path) + ".origin")
     write_chunks(sidecar_path, sidecar_chunks(corpus))
     return [path, sidecar_path]

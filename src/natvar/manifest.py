@@ -12,7 +12,7 @@ import hashlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .babi import ParseError, decode_utf8, numbered_lines
+from .io import ParseError, decode_lines, numbered_lines
 from .model import Dialog, DialogCorpus, Speaker, content_digest, memo
 
 
@@ -89,8 +89,7 @@ def parse_manifest(data: bytes) -> EvalManifest:
     """The manifest in `data`, one line at a time; lines end only at LF, CR or CRLF."""
     tag = ""
     entries = []
-    text = decode_utf8(data, "manifest").replace("\r\n", "\n").replace("\r", "\n")
-    for lineno, line in numbered_lines(text):
+    for lineno, line in numbered_lines(decode_lines(data, "manifest")):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -109,8 +108,9 @@ def parse_manifest(data: bytes) -> EvalManifest:
 
 
 def read_predictions(data: bytes, manifest: EvalManifest) -> PredictionSet:
-    """One predicted response per line, aligned to manifest order."""
-    lines = decode_utf8(data, "prediction file").split("\n")
+    """One predicted response per line, aligned to manifest order; lines end
+    only at LF, CR or CRLF."""
+    lines = decode_lines(data, "prediction file").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if len(lines) != len(manifest.entries):

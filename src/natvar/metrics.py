@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import NatvarError
-from .babi import ParseError, decode_utf8
+from .io import ParseError, decode_utf8
 from .manifest import EvalManifest, PredictionSet
 from .model import DialogCorpus, entities_in
 

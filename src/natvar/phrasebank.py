@@ -15,24 +15,30 @@ import functools
 import json
 from importlib import resources
 
+from . import NatvarError
 
-class PhraseBankError(KeyError):
-    """Missing phrase bank entry."""
+
+class PhraseBankError(NatvarError):
+    """Missing phrase bank entry, or a bank file that is not valid JSON."""
 
 
 @functools.cache
 def load_bank() -> dict:
     """The packaged phrase bank, loaded once."""
-    return json.loads(resources.files("natvar").joinpath("data/phrase_bank.json").read_bytes())
+    path = resources.files("natvar").joinpath("data/phrase_bank.json")
+    try:
+        return json.loads(path.read_bytes())
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
+        raise PhraseBankError(f"phrase bank {path} is not valid JSON: {e}") from e
 
 
 def variants(pattern: str, action: str, domain: str) -> list[str]:
     """Surface variants for (pattern, action, domain); raises if absent."""
     try:
         per_domain = load_bank()[pattern][action]
-    except KeyError as e:
+        forms = per_domain.get(domain, per_domain.get("*"))
+    except (AttributeError, KeyError, TypeError) as e:  # an entry missing, or not an object
         raise PhraseBankError(f"no phrase bank entry for ({pattern}, {action})") from e
-    forms = per_domain.get(domain, per_domain.get("*"))
     if not forms:
         raise PhraseBankError(f"no phrase bank entry for ({pattern}, {action}, {domain})")
     return list(forms)

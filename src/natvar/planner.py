@@ -132,15 +132,22 @@ def preset_config(name: str, seed: int = 0, allow_shortfall: bool = False) -> Pl
     return config_from_dict(dict(PRESETS[name], seed=seed, allow_shortfall=allow_shortfall))
 
 
+def _integer(value, key: str) -> int:
+    """`value` as an int; a boolean or a fraction raises PlanError, not truncates."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise PlanError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(d: dict) -> PlanConfig:
     unknown = sorted(set(d) - {f.name for f in fields(PlanConfig)})
     if unknown:
         raise PlanError(f"unknown config key {unknown[0]!r}")
     cfg = PlanConfig(
-        targets={str(k): int(v) for k, v in d["targets"].items()},
-        seed=int(d.get("seed", 0)),
-        max_patterns_per_dialog=int(d.get("max_patterns_per_dialog", 4)),
-        histogram_targets=tuple(int(n) for n in d["histogram_targets"]) if d.get("histogram_targets") else None,
+        targets={str(k): _integer(v, f"targets[{k!r}]") for k, v in d["targets"].items()},
+        seed=_integer(d.get("seed", 0), "seed"),
+        max_patterns_per_dialog=_integer(d.get("max_patterns_per_dialog", 4), "max_patterns_per_dialog"),
+        histogram_targets=tuple(_integer(n, "histogram_targets") for n in d["histogram_targets"]) if d.get("histogram_targets") else None,
         allow_shortfall=bool(d.get("allow_shortfall", False)),
     )
     if any(n < 0 for n in (*cfg.targets.values(), *(cfg.histogram_targets or ()))):

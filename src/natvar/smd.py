@@ -24,7 +24,8 @@ import re
 import sys
 from collections.abc import Iterator
 
-from .babi import ParseError, check_pattern_name
+from .catalog import check_pattern_name
+from .io import ParseError
 from .model import (
     Dialog,
     DialogCorpus,

@@ -38,6 +38,20 @@ def small_babi_corpus():
     return parse_babi(make_babi_bytes(n_dialogs=40))
 
 
+# Every line break of `str.splitlines` but LF and CR. A turn may hold any of
+# them, so every line-oriented reader keeps them inside a line.
+@pytest.fixture(params=["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"])
+def inner_break(request) -> str:
+    return request.param
+
+
+# The line ends every line-oriented reader takes.
+@pytest.fixture(params=["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+def line_end(request) -> str:
+    return request.param
+
+
 @pytest.fixture
 def traced():
     """`traced(f)` runs `f()` under tracemalloc with the cyclic GC off and

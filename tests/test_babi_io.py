@@ -1,5 +1,7 @@
-import pytest
+import re
 from dataclasses import replace
+
+import pytest
 
 from natvar.babi import (
     ParseError,
@@ -143,6 +145,17 @@ class TestParse:
         sidecar = f"babi-0: 1={pattern}\n".encode()
         with pytest.raises(ParseError, match=f"sidecar line 1: unknown pattern {pattern!r}"):
             parse_babi(b"1 hi\thello\n", sidecar)
+
+    def test_sidecar_lines_end_only_at_lf_cr_or_crlf(self, inner_break, line_end):
+        corpus = b"1 hi\thello\n\n1 hi\thello\n"
+        sidecar = f"babi-0:{inner_break}1=open_request_screening{line_end}babi-1: 1=open_request_screening"
+        c = parse_babi(corpus, sidecar.encode())
+        assert [t.injected_by for d in c.dialogs for t in d.turns] == \
+            [None, "open_request_screening", None, "open_request_screening"]
+        pattern = f"bo{inner_break}gus"
+        bad = f"babi-0: 1=open_request_screening{line_end}babi-1: 0={pattern}{line_end}"
+        with pytest.raises(ParseError, match=re.escape(f"sidecar line 2: unknown pattern {pattern!r}")):
+            parse_babi(corpus, bad.encode())
 
     def test_slot_question_detection(self):
         assert slot_for_question("any preference on a type of cuisine") == "cuisine"

@@ -50,7 +50,7 @@ class TestLoadCandidates:
     def test_unnumbered_file_kept_verbatim(self, data, expected):
         assert load_candidates(data).responses == expected
 
-    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
     def test_lines_end_only_at_lf_cr_or_crlf(self, brk):
         # bAbI turns end at "\n" only, so a response may hold any other line
         # break; it stays one candidate and the file stays numbered.
@@ -312,11 +312,14 @@ class TestIndexedRankingIsExact:
     def test_best_is_first_argmax_of_score(self, case):
         candidates, history = case
         scorer = TfIdfScorer(candidates)
-        assert scorer.best(history) == _brute_best(scorer, history)
+        bag = Counter()
+        for turn in history:
+            scorer.add_turn(bag, turn)
+        assert scorer.best_for_bag(bag) == _brute_best(scorer, history)
 
-    def test_best_rejects_empty_history(self):
-        with pytest.raises(BaselineError):
-            TfIdfScorer(CandidateSet(("a",))).best([])
+    def test_best_for_an_empty_bag_is_candidate_zero(self):
+        # `score` rejects an empty history; `predict` gives such an entry candidate 0.
+        assert TfIdfScorer(CandidateSet(("b", "a"))).best_for_bag(Counter()) == 0
 
     @pytest.mark.parametrize("pool", ["gold", "single", "disjoint"])
     def test_predict_matches_brute_force_on_tiny_corpus(self, pool):

@@ -9,12 +9,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natvar import cli, manifest as nman
+from natvar import cli, manifest as nman, phrasebank
 from natvar.babi import ParseError, serialize_origin_sidecar
 from natvar.baseline import BaselineError
 from natvar.io import load_corpus, parse_corpus, serialize_corpus
@@ -51,6 +52,14 @@ def smd_file(tmp_path):
                                     b'{"targets": {}, "histogram_targets": [1, -1]}',
                                     b'{"targets": {}, "pattern_order": []}',
                                     b'{"targets": {}, "max_patterns_per_dialog": 0}',
+                                    # not integers, though int() takes each of them
+                                    b'{"targets": {}, "seed": 1.5}',
+                                    b'{"targets": {}, "seed": true}',
+                                    b'{"targets": {"other_correction": true}}',
+                                    b'{"targets": {"other_correction": 2.5}}',
+                                    b'{"targets": {}, "max_patterns_per_dialog": 2.5}',
+                                    b'{"targets": {}, "histogram_targets": [1, false]}',
+                                    b'{"targets": {}, "histogram_targets": [0.5]}',
                                     pytest.param(b"[" * 100_000, id="deep-nesting")])
 def test_bad_config_is_a_configuration_error(capsys, tmp_path, smd_file, config):
     path = tmp_path / "config.json"
@@ -59,6 +68,35 @@ def test_bad_config_is_a_configuration_error(capsys, tmp_path, smd_file, config)
                                 "--config", path, "--output", tmp_path / "out.json"])
     assert code == 1
     assert len(lines) == 1 and str(path) in lines[0]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda entry: {k: v for k, v in entry.items() if k != "SLIP"},
+    lambda entry: dict(entry, SLIP=["a list, not an object of domains"]),
+    lambda entry: [entry],
+], ids=["no-action", "action-not-an-object", "pattern-not-an-object"])
+def test_phrase_bank_without_an_entry_is_a_data_error(capsys, tmp_path, monkeypatch, smd_file, edit):
+    bank = dict(phrasebank.load_bank())
+    bank["other_correction"] = edit(bank["other_correction"])
+    monkeypatch.setattr(phrasebank, "load_bank", lambda: bank)
+    code, lines = _run(capsys, ["inject", "--input", smd_file, "--format", "smd", "--preset",
+                                "smd-table1", "--allow-shortfall", "--output", tmp_path / "out.json"])
+    assert (code, lines) == (2, ["error: no phrase bank entry for (other_correction, SLIP)"])
+
+
+def test_phrase_bank_that_is_not_json_is_a_data_error(capsys, tmp_path, monkeypatch, smd_file):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "phrase_bank.json").write_bytes(b'{"other_correction": ')
+    monkeypatch.setattr(phrasebank, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    phrasebank.load_bank.cache_clear()
+    try:
+        code, lines = _run(capsys, ["inject", "--input", smd_file, "--format", "smd", "--preset",
+                                    "smd-table1", "--allow-shortfall", "--output", tmp_path / "out.json"])
+    finally:
+        phrasebank.load_bank.cache_clear()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: phrase bank ")
+    assert lines[0].endswith("phrase_bank.json is not valid JSON: Expecting value: line 1 column 22 (char 21)")
 
 
 def test_directory_as_input_is_a_data_error(capsys, tmp_path):
@@ -242,11 +280,12 @@ def test_response_holding_a_unicode_line_break_survives_the_pipeline(capsys, tmp
     assert code == 0
 
 
-def _eval_inputs(tmp_path, seed: int, n_dialogs: int):
-    """A bAbI corpus file with its exported manifest and gold predictions."""
-    corpus = parse_corpus(make_babi_bytes(seed=seed, n_dialogs=n_dialogs), "babi")
+def _eval_inputs(tmp_path, seed: int, n_dialogs: int, fmt: str = "babi"):
+    """A corpus file with its exported manifest and gold predictions."""
+    make, suffix = (make_babi_bytes, "txt") if fmt == "babi" else (make_smd_bytes, "json")
+    corpus = parse_corpus(make(seed=seed, n_dialogs=n_dialogs), fmt)
     manifest = export_manifest(corpus)
-    paths = [tmp_path / f"{seed}-{n_dialogs}.{ext}" for ext in ("txt", "tsv", "preds")]
+    paths = [tmp_path / f"{seed}-{n_dialogs}.{ext}" for ext in (suffix, "tsv", "preds")]
     paths[0].write_bytes(corpus.source_bytes)
     paths[1].write_bytes(serialize_manifest(manifest))
     paths[2].write_bytes("".join(f"{e.gold_text}\n" for e in manifest.entries).encode())
@@ -397,17 +436,19 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("natvar.")
 """
 
 
-@pytest.mark.parametrize("cmd, unused", [
-    ("eval", {"planner", "recipes", "phrasebank", "stats", "baseline", "smd"}),
-    ("baseline", {"planner", "recipes", "phrasebank", "stats", "metrics", "smd"}),
-    ("inject", {"metrics", "baseline", "smd"}),
-], ids=["eval", "baseline", "inject"])
-def test_each_command_imports_only_its_own_modules(tmp_path, cmd, unused):
-    corpus, manifest, preds = _eval_inputs(tmp_path, seed=1, n_dialogs=3)
+@pytest.mark.parametrize("fmt, cmd, unused", [
+    ("babi", "eval", {"planner", "recipes", "phrasebank", "stats", "baseline", "smd"}),
+    ("babi", "baseline", {"planner", "recipes", "phrasebank", "stats", "metrics", "smd"}),
+    ("babi", "inject", {"metrics", "baseline", "smd"}),
+    ("smd", "eval", {"planner", "recipes", "phrasebank", "stats", "baseline", "babi"}),
+    ("smd", "baseline", {"planner", "recipes", "phrasebank", "stats", "metrics", "babi"}),
+], ids=["eval", "baseline", "inject", "smd-eval", "smd-baseline"])
+def test_each_command_imports_only_its_own_modules(tmp_path, fmt, cmd, unused):
+    corpus, manifest, preds = _eval_inputs(tmp_path, seed=1, n_dialogs=3, fmt=fmt)
     argv = {
         "eval": ["eval", "--predictions", preds, "--manifest", manifest, "--corpus", corpus,
-                 "--format", "babi", "--output", tmp_path / "eval"],
-        "baseline": ["baseline", "--corpus", corpus, "--format", "babi", "--manifest", manifest,
+                 "--format", fmt, "--output", tmp_path / "eval"],
+        "baseline": ["baseline", "--corpus", corpus, "--format", fmt, "--manifest", manifest,
                      "--out", tmp_path / "baseline.txt"],
         "inject": ["inject", "--input", corpus, "--format", "babi", "--preset", "babi-table1",
                    "--allow-shortfall", "--output", tmp_path / "updated.txt"],

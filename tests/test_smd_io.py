@@ -4,7 +4,7 @@ import pytest
 from dataclasses import replace
 
 from natvar import smd
-from natvar.babi import ParseError
+from natvar.io import ParseError
 from natvar.io import save_corpus, serialize_corpus
 from natvar.model import DialogCorpus, build_global_entities
 from natvar.planner import PlanConfig, execute, plan
