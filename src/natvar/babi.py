@@ -94,21 +94,25 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     lines die once its `Dialog` is made. Each `Turn` is built with its final
     origin and annotations.
 
-    Task-5 dialogs come from fixed simulator templates, so most line bodies
-    and turns recur across dialogs. `functools.cache`s made in the call
-    remember them: `turn` builds one shared `Turn` per distinct set of fields,
-    `user_tokens` one token set per distinct user text (far fewer than the
-    bodies), and `body_of` parses each distinct body (the text after a line's
-    index) once, through the other two. A cache keeps no exception, so every
-    error is raised again and named by its own line, and each line's index is
-    checked on its own. The caches die with the call.
+    Task-5 dialogs come from fixed simulator templates, so most line bodies,
+    turns and KB tokens recur across dialogs. `functools.cache`s made in the
+    call remember them: `turn` builds one shared `Turn` per distinct set of
+    fields, `user_tokens` one token set per distinct user text (far fewer than
+    the bodies), `token` keeps one string per distinct KB fact token, and
+    `body_of` parses each distinct body (the text after a line's index) once,
+    through the other three. A fact already in canonical (lowercase) form is
+    its own KB entry, so such a fact is one tuple of shared strings. A cache
+    keeps no exception, so every error is raised again and named by its own
+    line, and each line's index is checked on its own. The caches die with
+    the call.
     """
     text = decode_lines(data, "bAbI file")
     injected = _parse_sidecar(origin_sidecar) if origin_sidecar else {}
 
     turn = functools.cache(Turn)
     user_tokens = functools.cache(lambda text: frozenset(text.lower().split()))
-    body_of = functools.cache(functools.partial(_line_body, turn, user_tokens))
+    token = functools.cache(str)  # the first of equal strings
+    body_of = functools.cache(functools.partial(_line_body, turn, user_tokens, token))
     dialogs = []
     for idx, block in enumerate(_blocks(text)):
         dialog_id = f"babi-{idx}"
@@ -141,10 +145,11 @@ def _blocks(text: str):
         yield block
 
 
-def _line_body(turn, user_tokens, rest: str) -> tuple:
+def _line_body(turn, user_tokens, token, rest: str) -> tuple:
     """The body of a line: (original user turn without annotations, original
     agent turn, user tokens) for an utterance, (None, raw triple, lowercased
-    triple) for a KB fact. A ParseError here names no line."""
+    triple) for a KB fact, the two one tuple when they are equal. A
+    ParseError here names no line."""
     if "\t" in rest:
         user_text, _, agent_text = rest.partition("\t")
         if not user_text.strip() or not agent_text.strip():
@@ -157,7 +162,9 @@ def _line_body(turn, user_tokens, rest: str) -> tuple:
         raise ParseError("not an utterance line (no tab) and not a 3-token KB fact")
     # Each fact component is one whitespace-free token, so lowercasing it is
     # `normalize_entity`.
-    return None, tuple(parts), tuple(p.lower() for p in parts)
+    raw = tuple(map(token, parts))
+    lower = tuple(token(p.lower()) for p in raw)
+    return None, raw, raw if lower == raw else lower
 
 
 def _parse_block(block, dialog_id: str, injected_turns: dict[int, str], turn, body_of) -> Dialog:
@@ -230,7 +237,9 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str], turn, bo
         domain="restaurant",
         turns=tuple(turns),
         kb=KbRecord(entries=tuple(lower for _, lower, _ in facts)),
-        source_info=tuple((*raw, ordinals[k]) for raw, _, k in facts),
+        source_info=(tuple(ordinals[k] for _, _, k in facts),
+                     () if all(raw is lower for raw, lower, _ in facts)
+                     else tuple(raw for raw, _, _ in facts)),
     )
 
 
@@ -263,9 +272,10 @@ def _encode_joined(parts: Iterable[str], sep: str) -> Iterator[bytes]:
 def _serialize_dialog(d: Dialog) -> str:
     if len(d.turns) % 2 != 0:
         raise ModelError(f"dialog {d.id}: bAbI requires an even number of turns")
+    ordinals, raw = d.source_info or ((), ())  # () for a dialog built in memory
     kb_by_ordinal: dict[int, list[tuple[str, str, str]]] = {}
-    for subj, attr, val, ordinal in d.source_info:
-        kb_by_ordinal.setdefault(ordinal, []).append((subj, attr, val))
+    for fact, ordinal in zip(raw or d.kb.entries, ordinals):
+        kb_by_ordinal.setdefault(ordinal, []).append(fact)
 
     lines: list[str] = []
     index = 1

@@ -8,6 +8,7 @@ so a manifest exported before and after injection carries the same
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -86,9 +87,15 @@ def manifest_chunks(m: EvalManifest) -> Iterator[bytes]:
 
 
 def parse_manifest(data: bytes) -> EvalManifest:
-    """The manifest in `data`, one line at a time; lines end only at LF, CR or CRLF."""
+    """The manifest in `data`, one line at a time; lines end only at LF, CR or CRLF.
+
+    A dialog id recurs in each of its dialog's entries and most gold responses
+    recur across dialogs, so a table made in the call keeps one string per
+    distinct id or text.
+    """
     tag = ""
     entries = []
+    text = functools.cache(str)  # the first of equal strings
     for lineno, line in numbered_lines(decode_lines(data, "manifest")):
         if not line.strip():
             continue
@@ -103,7 +110,7 @@ def parse_manifest(data: bytes) -> EvalManifest:
             turn_index = int(parts[1])
         except ValueError:
             raise ParseError(f"manifest line {lineno}: turn index {parts[1]!r} is not an integer") from None
-        entries.append(ManifestEntry(parts[0], turn_index, parts[2]))
+        entries.append(ManifestEntry(text(parts[0]), turn_index, text(parts[2])))
     return EvalManifest(entries=tuple(entries), corpus_tag=tag)
 
 

@@ -227,9 +227,11 @@ class Dialog:
     turns: tuple[Turn, ...]
     kb: KbRecord = KbRecord()
     # Format-specific payload needed for lossless serialization:
-    #  babi -> tuple of (subject, attribute, value, agent_ordinal) raw KB rows,
-    #          where agent_ordinal is the 0-based ordinal (among original agent
-    #          turns) of the agent turn the KB block precedes.
+    #  babi -> (ordinals, raw): ordinals[i] is the 0-based ordinal (among
+    #          original agent turns) of the agent turn that the fact line of
+    #          kb.entries[i] precedes; raw is () when every fact line spells its
+    #          entry (is lowercase), else each line's (subject, attribute,
+    #          value) as written, in kb.entries order.
     #  smd  -> canonicalized JSON string of the source scenario object.
     source_info: tuple = ()
 

@@ -143,12 +143,15 @@ def config_from_dict(d: dict) -> PlanConfig:
     unknown = sorted(set(d) - {f.name for f in fields(PlanConfig)})
     if unknown:
         raise PlanError(f"unknown config key {unknown[0]!r}")
+    allow_shortfall = d.get("allow_shortfall", False)
+    if not isinstance(allow_shortfall, bool):
+        raise PlanError(f"allow_shortfall must be true or false, got {allow_shortfall!r}")
     cfg = PlanConfig(
         targets={str(k): _integer(v, f"targets[{k!r}]") for k, v in d["targets"].items()},
         seed=_integer(d.get("seed", 0), "seed"),
         max_patterns_per_dialog=_integer(d.get("max_patterns_per_dialog", 4), "max_patterns_per_dialog"),
         histogram_targets=tuple(_integer(n, "histogram_targets") for n in d["histogram_targets"]) if d.get("histogram_targets") else None,
-        allow_shortfall=bool(d.get("allow_shortfall", False)),
+        allow_shortfall=allow_shortfall,
     )
     if any(n < 0 for n in (*cfg.targets.values(), *(cfg.histogram_targets or ()))):
         raise PlanError("targets and histogram_targets must not be negative")

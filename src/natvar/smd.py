@@ -19,6 +19,7 @@ so saving is lossless. Parse and save handle one dialogue object at a time.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import sys
@@ -54,13 +55,19 @@ _ENCODE = json.JSONEncoder(ensure_ascii=False).encode  # a scalar, "[]" or "{}"
 
 def parse_smd(data: bytes) -> DialogCorpus:
     """Parse an SMD JSON file into a corpus one dialogue object at a time, with no
-    tree of the whole file. On any error the file is parsed whole, which names it."""
+    tree of the whole file. On any error the file is parsed whole, which names it.
+
+    KB subjects, attribute names and values recur across dialogues, so
+    `entity`, a `functools.cache` made in the call, normalizes each distinct
+    one once, and every KB that holds it shares the result.
+    """
+    entity = functools.cache(normalize_entity)
     try:
         text, dialogs = data.decode("utf-8"), []
         sep = _OPEN.match(text)
         while sep and not sep.group(1):
             el, end = _DECODE(text, sep.end())
-            dialogs.append(_parse_dialogue(el, len(dialogs)))
+            dialogs.append(_parse_dialogue(el, len(dialogs), entity))
             sep = _NEXT.match(text, end)
     except (ValueError, RecursionError):  # ParseError and UnicodeDecodeError are ValueErrors
         sep = None
@@ -71,7 +78,7 @@ def parse_smd(data: bytes) -> DialogCorpus:
             raise ParseError(f"not valid SMD JSON: {e}") from e
         if not isinstance(doc, list):
             raise ParseError("SMD file must be a JSON array of dialogues")
-        dialogs = [_parse_dialogue(el, i) for i, el in enumerate(doc)]
+        dialogs = [_parse_dialogue(el, i, entity) for i, el in enumerate(doc)]
     return DialogCorpus(
         dialogs=tuple(dialogs),
         source_format="smd",
@@ -80,7 +87,7 @@ def parse_smd(data: bytes) -> DialogCorpus:
     )
 
 
-def _parse_dialogue(el, index: int) -> Dialog:
+def _parse_dialogue(el, index: int, entity) -> Dialog:
     did = f"smd-{index}"
     try:
         scenario = el["scenario"]
@@ -93,7 +100,7 @@ def _parse_dialogue(el, index: int) -> Dialog:
     if not isinstance(raw_turns, list):
         raise ParseError(f"dialog {index}: dialogue is not a JSON array")
 
-    kb = _flatten_kb(scenario, domain, index)
+    kb = _flatten_kb(scenario, domain, index, entity)
     kb_ents = kb.all_entities()
 
     turns: list[Turn] = []
@@ -135,7 +142,9 @@ def _parse_dialogue(el, index: int) -> Dialog:
         raise ParseError(f"dialog {index}: {e}") from e
 
 
-def _flatten_kb(scenario, domain: str, index: int) -> KbRecord:
+def _flatten_kb(scenario, domain: str, index: int, entity) -> KbRecord:
+    """The KB items as (subject, attribute, value) triples, each component
+    canonicalized by `entity` (`normalize_entity` or a cache of it)."""
     kb_obj = scenario.get("kb") or {}
     if not isinstance(kb_obj, dict) or not isinstance(kb_obj.get("items") or [], list):
         raise ParseError(f"dialog {index}: malformed KB")
@@ -149,11 +158,11 @@ def _flatten_kb(scenario, domain: str, index: int) -> KbRecord:
         if not isinstance(item, dict) or not item:
             raise ParseError(f"dialog {index}: malformed KB item")
         subj_raw = item.get(subject_key) or next(iter(item.values()))
-        subj = normalize_entity(str(subj_raw))
+        subj = entity(str(subj_raw))
         for key, val in item.items():
             if key == subject_key or val is None:
                 continue
-            entries.append((subj, normalize_entity(str(key)), normalize_entity(str(val))))
+            entries.append((subj, entity(str(key)), entity(str(val))))
     return KbRecord(entries=tuple(entries))
 
 

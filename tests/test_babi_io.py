@@ -9,10 +9,12 @@ from natvar.babi import (
     serialize_origin_sidecar,
     slot_for_question,
 )
-from natvar.io import serialize_corpus
-from natvar.model import Speaker
+from natvar import cli
+from natvar.io import load_corpus, serialize_corpus
+from natvar.model import Dialog, DialogCorpus, Speaker, Turn
 from natvar.planner import PlanConfig, execute, plan
 from natvar.recipes import RECIPES, find_anchors, inject
+from natvar.synthetic import make_babi_bytes
 
 SIMPLE = (
     "1 hi\thello what can i help you with today\n"
@@ -195,6 +197,33 @@ class TestRoundTrip:
         # The injected exchange adds a line, so the trailing facts are lines 9 and 10.
         assert data.endswith(b"\n9 resto_2 r_phone resto_2_phone\n10 resto_2 r_cuisine french\n")
         assert parse_babi(data, serialize_origin_sidecar(updated)) == updated
+
+    def test_mixed_case_kb_fact_keeps_its_spelling_through_inject(self, capsys, tmp_path):
+        # Task-5 files spell the attribute "R_phone"; the KB holds "r_phone",
+        # and an updated file writes each fact line as its source did.
+        source = make_babi_bytes(n_dialogs=40).replace(b" r_phone ", b" R_phone ")
+        src, out = tmp_path / "babi.txt", tmp_path / "updated.txt"
+        src.write_bytes(source)
+        assert cli.main(["inject", "--input", str(src), "--format", "babi", "--preset",
+                         "babi-table1", "--allow-shortfall", "--output", str(out)]) == 0
+        updated = load_corpus(out, "babi")
+        assert len(updated.updated_dialogs()) > 30
+
+        def facts(data: bytes) -> list[str]:
+            return sorted(line.split(" ", 1)[1] for line in data.decode().split("\n")
+                          if line and "\t" not in line)
+
+        assert facts(out.read_bytes()) == facts(source)
+        assert any(" R_phone " in f for f in facts(source))
+        entries = {e for d in updated.dialogs for e in d.kb.entries}
+        assert all(x == x.lower() for e in entries for x in e)
+        assert any(attr == "r_phone" for _, attr, _ in entries)
+        assert serialize_corpus(replace(updated, source_bytes=b"")) == out.read_bytes()
+
+    def test_dialog_built_in_memory_serializes_without_kb_lines(self):
+        turns = (Turn(Speaker.USER, "hi"), Turn(Speaker.AGENT, "hello"))
+        corpus = DialogCorpus(dialogs=(Dialog("babi-0", "restaurant", turns),), source_format="babi")
+        assert serialize_corpus(corpus) == b"1 hi\thello\n"
 
     def test_renumbering_after_leading_injection(self):
         corpus = parse_babi(SIMPLE)

@@ -60,6 +60,9 @@ def smd_file(tmp_path):
                                     b'{"targets": {}, "max_patterns_per_dialog": 2.5}',
                                     b'{"targets": {}, "histogram_targets": [1, false]}',
                                     b'{"targets": {}, "histogram_targets": [0.5]}',
+                                    # not booleans, though bool() takes each of them
+                                    b'{"targets": {}, "allow_shortfall": "no"}',
+                                    b'{"targets": {}, "allow_shortfall": 0}',
                                     pytest.param(b"[" * 100_000, id="deep-nesting")])
 def test_bad_config_is_a_configuration_error(capsys, tmp_path, smd_file, config):
     path = tmp_path / "config.json"
@@ -70,30 +73,45 @@ def test_bad_config_is_a_configuration_error(capsys, tmp_path, smd_file, config)
     assert len(lines) == 1 and str(path) in lines[0]
 
 
-@pytest.mark.parametrize("edit", [
-    lambda entry: {k: v for k, v in entry.items() if k != "SLIP"},
-    lambda entry: dict(entry, SLIP=["a list, not an object of domains"]),
-    lambda entry: [entry],
-], ids=["no-action", "action-not-an-object", "pattern-not-an-object"])
-def test_phrase_bank_without_an_entry_is_a_data_error(capsys, tmp_path, monkeypatch, smd_file, edit):
-    bank = dict(phrasebank.load_bank())
-    bank["other_correction"] = edit(bank["other_correction"])
-    monkeypatch.setattr(phrasebank, "load_bank", lambda: bank)
-    code, lines = _run(capsys, ["inject", "--input", smd_file, "--format", "smd", "--preset",
-                                "smd-table1", "--allow-shortfall", "--output", tmp_path / "out.json"])
-    assert (code, lines) == (2, ["error: no phrase bank entry for (other_correction, SLIP)"])
-
-
-def test_phrase_bank_that_is_not_json_is_a_data_error(capsys, tmp_path, monkeypatch, smd_file):
+def _inject_with_bank(capsys, tmp_path, monkeypatch, smd_file, data: bytes):
+    """Run `inject` with `data` as the packaged phrase bank file."""
     (tmp_path / "data").mkdir()
-    (tmp_path / "data" / "phrase_bank.json").write_bytes(b'{"other_correction": ')
+    (tmp_path / "data" / "phrase_bank.json").write_bytes(data)
     monkeypatch.setattr(phrasebank, "resources", SimpleNamespace(files=lambda package: tmp_path))
     phrasebank.load_bank.cache_clear()
     try:
-        code, lines = _run(capsys, ["inject", "--input", smd_file, "--format", "smd", "--preset",
-                                    "smd-table1", "--allow-shortfall", "--output", tmp_path / "out.json"])
+        return _run(capsys, ["inject", "--input", smd_file, "--format", "smd", "--preset",
+                             "smd-table1", "--allow-shortfall", "--output", tmp_path / "out.json"])
     finally:
         phrasebank.load_bank.cache_clear()
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda entry: {k: v for k, v in entry.items() if k != "SLIP"},
+     "no phrase bank entry for (other_correction, SLIP)"),
+    (lambda entry: dict(entry, SLIP=["a list, not an object of domains"]),
+     "(other_correction, SLIP) is not an object of domains"),
+    (lambda entry: [entry], "other_correction is not an object of actions"),
+    # a string would be split into one-letter turns
+    (lambda entry: dict(entry, SLIP={"*": "oops"}),
+     "(other_correction, SLIP, *) is not a non-empty list of strings"),
+    (lambda entry: dict(entry, SLIP={"*": []}),
+     "(other_correction, SLIP, *) is not a non-empty list of strings"),
+], ids=["no-action", "action-not-an-object", "pattern-not-an-object", "variants-not-a-list",
+        "no-variants"])
+def test_phrase_bank_without_an_entry_is_a_data_error(capsys, tmp_path, monkeypatch, smd_file,
+                                                       edit, problem):
+    bank = dict(phrasebank.load_bank())
+    bank["other_correction"] = edit(bank["other_correction"])
+    code, lines = _inject_with_bank(capsys, tmp_path, monkeypatch, smd_file,
+                                    json.dumps(bank).encode())
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith(problem)
+
+
+def test_phrase_bank_that_is_not_json_is_a_data_error(capsys, tmp_path, monkeypatch, smd_file):
+    code, lines = _inject_with_bank(capsys, tmp_path, monkeypatch, smd_file,
+                                    b'{"other_correction": ')
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: phrase bank ")
     assert lines[0].endswith("phrase_bank.json is not valid JSON: Expecting value: line 1 column 22 (char 21)")

@@ -11,6 +11,7 @@ from natvar.recipes import (
     _fill,
     patterns_for_dataset,
 )
+from natvar import phrasebank
 from natvar.phrasebank import variants
 
 
@@ -199,6 +200,13 @@ class TestRealize:
 
 
 _DOMAINS = {"babi": ("restaurant",), "smd": ("navigate", "weather", "schedule")}
+
+
+def test_shipped_phrase_bank_has_the_bank_shape():
+    phrasebank.load_bank.cache_clear()  # load and check the file again
+    bank = phrasebank.load_bank()  # raises PhraseBankError on a bad shape
+    assert phrasebank._shape_problem(bank) is None
+    assert set(bank) >= set(RECIPES)
 
 
 @pytest.mark.parametrize("name", sorted(RECIPES))
