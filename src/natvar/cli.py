@@ -209,11 +209,12 @@ def cmd_inject(args) -> int:
 def cmd_ablate(args) -> int:
     from .io import load_corpus, sha256_hex
     from .model import mean_utterances
-    from .planner import ablate
+    from .planner import ablate, check_patterns
     from .recipes import patterns_for_dataset
 
     corpus = load_corpus(args.input, args.format)
     cfg = _resolve_config(args, args.format)
+    check_patterns(cfg.targets, args.format)  # --all runs only the valid names
     if args.all:
         names = [p for p in patterns_for_dataset(args.format) if cfg.targets.get(p, 0) > 0]
     else:

@@ -10,9 +10,10 @@ record attached to the dialog.
 All types are immutable values after construction and safe to share
 between dialogs: a parser may hand every equal turn the same `Turn`
 object (`parse_babi` builds one per distinct turn). The value types built
-in the largest numbers (`Turn` here, and the manifest entries, anchors and
-assignments) are slotted dataclasses, which keeps them small and quick to
-build; they carry no `memo`, which needs an instance `__dict__`.
+in the largest numbers are slotted dataclasses, which keeps them small and
+quick to build: `Turn` here, `manifest.ManifestEntry`, `recipes.Anchor` (a
+turn index and its slot bindings) and `planner.Assignment`. They carry no
+`memo`, which needs an instance `__dict__`.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from .recipes import (
     find_anchors,
     iter_anchors,
     keyed_rng,
-    patterns_for_dataset,
     splice,
 )
 
@@ -133,8 +132,10 @@ def preset_config(name: str, seed: int = 0, allow_shortfall: bool = False) -> Pl
 
 
 def _integer(value, key: str) -> int:
-    """`value` as an int; a boolean or a fraction raises PlanError, not truncates."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """`value`, a JSON number, as an int; a boolean, a string or a fraction
+    raises PlanError, not converts or truncates."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (isinstance(value, float) and not value.is_integer()):
         raise PlanError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -146,11 +147,14 @@ def config_from_dict(d: dict) -> PlanConfig:
     allow_shortfall = d.get("allow_shortfall", False)
     if not isinstance(allow_shortfall, bool):
         raise PlanError(f"allow_shortfall must be true or false, got {allow_shortfall!r}")
+    histogram_targets = d.get("histogram_targets")
+    if histogram_targets is not None and not isinstance(histogram_targets, list):
+        raise PlanError(f"histogram_targets must be an array, got {histogram_targets!r}")
     cfg = PlanConfig(
         targets={str(k): _integer(v, f"targets[{k!r}]") for k, v in d["targets"].items()},
         seed=_integer(d.get("seed", 0), "seed"),
         max_patterns_per_dialog=_integer(d.get("max_patterns_per_dialog", 4), "max_patterns_per_dialog"),
-        histogram_targets=tuple(_integer(n, "histogram_targets") for n in d["histogram_targets"]) if d.get("histogram_targets") else None,
+        histogram_targets=tuple(_integer(n, "histogram_targets") for n in histogram_targets) if histogram_targets else None,
         allow_shortfall=allow_shortfall,
     )
     if any(n < 0 for n in (*cfg.targets.values(), *(cfg.histogram_targets or ()))):
@@ -164,7 +168,7 @@ def config_from_dict(d: dict) -> PlanConfig:
 class Assignment:
     dialog_id: str
     pattern: str
-    anchor: Anchor  # turn index refers to the pristine dialog
+    anchor: Anchor  # turn index refers to the input dialog, which may carry injected turns
 
 
 @dataclass(frozen=True)
@@ -225,6 +229,15 @@ def adjust_histogram(targets: tuple[int, ...], total: int, n_dialogs: int,
     return tuple(h)
 
 
+def check_patterns(names, dataset: str) -> None:
+    """Raise PlanError at the first name that is not a recipe pattern for `dataset`."""
+    for name in names:
+        if name not in RECIPES:
+            raise PlanError(f"unknown pattern {name!r}")
+        if dataset not in RECIPES[name].datasets:
+            raise PlanError(f"pattern not applicable to {dataset}: {name}")
+
+
 def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
     """Deterministic assignment plan for (corpus, cfg).
 
@@ -232,14 +245,7 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
     its target, unless cfg.allow_shortfall caps the target and records the
     gap.
     """
-    dataset = corpus.source_format
-    valid = set(patterns_for_dataset(dataset))
-    for name in cfg.targets:
-        if name not in RECIPES:
-            raise PlanError(f"unknown pattern {name!r}")
-        if name not in valid:
-            raise PlanError(f"pattern not applicable to {dataset}: {name}")
-
+    check_patterns(cfg.targets, corpus.source_format)
     order = [p for p in PATTERN_ORDER if cfg.targets.get(p, 0) > 0]
     dialog_pos = {d.id: i for i, d in enumerate(corpus.dialogs)}
     # A dialog's first anchor decides eligibility; picked dialogs list all below.
@@ -370,11 +376,9 @@ def execute(corpus: DialogCorpus, pln: InjectionPlan) -> DialogCorpus:
         for a in todo:
             recipe = RECIPES[a.pattern]
             t = a.anchor.turn_index
-            if t > len(orig_to_curr):
+            if t >= len(orig_to_curr):
                 raise PlanMismatchError(f"plan/corpus mismatch: anchor {t} out of range in {d.id}")
-            curr = orig_to_curr[t] if t < len(orig_to_curr) else len(turns)
-            rebased = Anchor(a.anchor.dialog_id, curr, a.anchor.bound)
-            insert_at = splice(turns, d, recipe, rebased, pln.seed)
+            insert_at = splice(turns, d, recipe, Anchor(orig_to_curr[t], a.anchor.bound), pln.seed)
             k = len(recipe.template)
             orig_to_curr = [x + k if x >= insert_at else x for x in orig_to_curr]
         return Dialog(id=d.id, domain=d.domain, turns=tuple(turns), kb=d.kb,
@@ -390,11 +394,7 @@ def execute(corpus: DialogCorpus, pln: InjectionPlan) -> DialogCorpus:
 
 def ablate(corpus: DialogCorpus, cfg: PlanConfig, pattern: str) -> DialogCorpus:
     """Updated corpus with only `pattern` injected, at its full target."""
-    dataset = corpus.source_format
-    if pattern not in RECIPES:
-        raise PlanError(f"unknown pattern {pattern!r}")
-    if dataset not in RECIPES[pattern].datasets:
-        raise PlanError(f"pattern not applicable to {dataset}: {pattern}")
+    check_patterns([pattern, *cfg.targets], corpus.source_format)
     if cfg.targets.get(pattern, 0) <= 0:
         raise PlanError(f"no target configured for {pattern}")
     solo = replace(cfg, targets={pattern: cfg.targets[pattern]}, histogram_targets=None)

@@ -1,11 +1,13 @@
 """Injection recipes: applicability heuristics, anchors, turn realization.
 
 Each of the nine recipe-bearing patterns is a fixed template of additional
-user/agent turns spliced into an existing dialog at an anchor position.
-Templates are alternating blocks, so splicing at a valid anchor preserves
-the user/agent alternation of the host dialog. Injected turns never modify
-an original turn, which is what keeps the masked-evaluation manifest
-invariant under injection.
+user/agent turns spliced into an existing dialog at an anchor: a turn index
+and the values the template's slots bind to. The block goes before the
+anchor turn, or after it where the recipe says so. Templates are
+alternating blocks, and a splice that would break the host dialog's
+user/agent alternation is refused, which also refuses an anchor at a turn
+of the wrong speaker. Injected turns never modify an original turn, which
+is what keeps the masked-evaluation manifest invariant under injection.
 
 Anchor heuristics key off the dialog annotations (slot values, question
 forms, knowledge-base contents). Where a slip or a corrupted answer is
@@ -18,11 +20,11 @@ decides eligibility. It draws in turn order from one generator keyed by
 what it binds: a fresh call yields the same anchors.
 
 `RECIPES` is the one registry of recipe patterns: a row declares the
-pattern's name, anchor kind, template, datasets and anchor finder, and the
-Table-row order of its rows is the order of assignment priority. To add a
-pattern, add one `RECIPES` row with its finder, one phrase-bank entry
-(`data/phrase_bank.json`) and `has_recipe=True` on its `catalog.CATALOG`
-entry.
+pattern's name, template, datasets and anchor finder, and whether the block
+goes after the anchor turn; the Table-row order of its rows is the order of
+assignment priority. To add a pattern, add one `RECIPES` row with its
+finder, one phrase-bank entry (`data/phrase_bank.json`) and
+`has_recipe=True` on its `catalog.CATALOG` entry.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import hashlib
 import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 
 from . import NatvarError
@@ -49,13 +50,6 @@ from .model import (
 from .phrasebank import variants
 
 
-class AnchorKind(Enum):
-    DIALOG_START = "dialog_start"
-    BEFORE_AGENT_TURN = "before_agent_turn"
-    AFTER_AGENT_TURN = "after_agent_turn"
-    BEFORE_USER_TURN = "before_user_turn"
-
-
 @dataclass(frozen=True)
 class TemplateTurn:
     speaker: Speaker
@@ -66,12 +60,13 @@ class TemplateTurn:
 @dataclass(frozen=True)
 class PatternRecipe:
     name: str
-    anchor_kind: AnchorKind
     template: tuple[TemplateTurn, ...]
     datasets: frozenset[str]
     # Yields a dialog's anchors in turn order; the second argument makes the
     # dialog's keyed generator, which a finder that draws calls once.
     find: Callable[[Dialog, Callable[[], random.Random]], Iterator[Anchor]]
+    # The block goes after the anchor turn, not before it.
+    after: bool = False
 
     def __post_init__(self):
         for i in range(1, len(self.template)):
@@ -81,12 +76,8 @@ class PatternRecipe:
 
 @dataclass(frozen=True, slots=True)
 class Anchor:
-    dialog_id: str
     turn_index: int
     bound: tuple[tuple[str, str], ...] = ()
-
-    def bound_map(self) -> dict[str, str]:
-        return dict(self.bound)
 
 
 class InjectionError(NatvarError):
@@ -182,7 +173,7 @@ def find_anchors(recipe: PatternRecipe, d: Dialog, seed: int = 0) -> list[Anchor
 def _anchors_screening(d: Dialog, new_rng) -> Iterator[Anchor]:
     if d.turns[0].speaker is Speaker.USER:
         intent = _INTENT_PHRASES[d.domain]
-        yield Anchor(d.id, 0, (("intent", intent),))
+        yield Anchor(0, (("intent", intent),))
 
 
 def _anchors_user_detail(d: Dialog, new_rng) -> Iterator[Anchor]:
@@ -201,7 +192,7 @@ def _anchors_user_detail(d: Dialog, new_rng) -> Iterator[Anchor]:
         if len(values) < 2:
             continue
         options = ", ".join(entity_display(v) for v in values)
-        yield Anchor(d.id, i, (("options", options),))
+        yield Anchor(i, (("options", options),))
 
 
 def _anchors_example(d: Dialog, new_rng) -> Iterator[Anchor]:
@@ -218,7 +209,7 @@ def _anchors_example(d: Dialog, new_rng) -> Iterator[Anchor]:
             continue
         subjects = d.kb.subjects()
         example = entity_display(subjects[rng.randrange(len(subjects))])
-        yield Anchor(d.id, i, (("example", example),))
+        yield Anchor(i, (("example", example),))
 
 
 def _anchors_misunderstanding(d: Dialog, new_rng) -> Iterator[Anchor]:
@@ -237,8 +228,8 @@ def _anchors_misunderstanding(d: Dialog, new_rng) -> Iterator[Anchor]:
             distr = next((x for x in distrs if x is not None), None)
             corrupted = distr is not None and _swap_span(t.text, ent, distr)
             if corrupted:
-                yield Anchor(d.id, i, (("corrupted_answer", corrupted),
-                                       ("prior_request", d.turns[i - 1].text)))
+                yield Anchor(i, (("corrupted_answer", corrupted),
+                                 ("prior_request", d.turns[i - 1].text)))
                 break
 
 
@@ -256,8 +247,8 @@ def _anchors_slip(d: Dialog, new_rng) -> Iterator[Anchor]:
                 continue
             slip = _swap_span(t.text, value, distr)
             if slip is not None:
-                yield Anchor(d.id, i, (("slip_utterance", slip), ("value", entity_display(value)),
-                                       ("distractor", entity_display(distr))))
+                yield Anchor(i, (("slip_utterance", slip), ("value", entity_display(value)),
+                                 ("distractor", entity_display(distr))))
                 break
 
 
@@ -268,7 +259,7 @@ def _anchors_not_helped(d: Dialog, new_rng) -> Iterator[Anchor]:
             continue
         low = t.text.lower()
         if any(m in low for m in markers):
-            yield Anchor(d.id, i)
+            yield Anchor(i)
 
 
 def _anchors_repaired(d: Dialog, new_rng) -> Iterator[Anchor]:
@@ -279,7 +270,7 @@ def _anchors_repaired(d: Dialog, new_rng) -> Iterator[Anchor]:
         asked = d.turns[i - 2]
         if asked.speaker is Speaker.AGENT and asked.is_original \
                 and _is_question(asked.text, d.domain) and not _is_question(t.text, d.domain):
-            yield Anchor(d.id, i)
+            yield Anchor(i)
 
 
 def _anchors_capability(d: Dialog, new_rng) -> Iterator[Anchor]:
@@ -290,13 +281,13 @@ def _anchors_capability(d: Dialog, new_rng) -> Iterator[Anchor]:
     for k, (cap, example) in enumerate(caps, start=1):
         bound.append((f"capability_{k}", cap))
         bound.append((f"example_{k}", example))
-    yield Anchor(d.id, 0, tuple(bound))
+    yield Anchor(0, tuple(bound))
 
 
 def _anchors_recipient(d: Dialog, new_rng) -> Iterator[Anchor]:
     for i, t in enumerate(d.turns):
         if t.speaker is Speaker.USER and t.is_original:
-            yield Anchor(d.id, i)
+            yield Anchor(i)
 
 
 # --- the recipe table -----------------------------------------------------
@@ -312,22 +303,22 @@ RECIPES: dict[str, PatternRecipe] = {
     r.name: r
     for r in (
         PatternRecipe(
-            "open_request_screening", AnchorKind.DIALOG_START,
+            "open_request_screening",
             _tpl((_U, "PRE-REQUEST", "intent"), (_A, "GO-AHEAD")),
             frozenset({"babi", "smd"}), _anchors_screening,
         ),
         PatternRecipe(
-            "open_request_user_detail_request", AnchorKind.BEFORE_USER_TURN,
+            "open_request_user_detail_request",
             _tpl((_U, "DETAIL-REQUEST"), (_A, "ENUMERATION", "options")),
             frozenset({"babi"}), _anchors_user_detail,
         ),
         PatternRecipe(
-            "example_request", AnchorKind.AFTER_AGENT_TURN,
+            "example_request",
             _tpl((_U, "EXAMPLE-REQUEST"), (_A, "EXAMPLE", "example")),
-            frozenset({"smd"}), _anchors_example,
+            frozenset({"smd"}), _anchors_example, after=True,
         ),
         PatternRecipe(
-            "misunderstanding_report", AnchorKind.BEFORE_AGENT_TURN,
+            "misunderstanding_report",
             _tpl(
                 (_A, "CORRUPTED-ANSWER", "corrupted_answer"),
                 (_U, "REPORT"),
@@ -337,22 +328,22 @@ RECIPES: dict[str, PatternRecipe] = {
             frozenset({"babi", "smd"}), _anchors_misunderstanding,
         ),
         PatternRecipe(
-            "other_correction", AnchorKind.BEFORE_USER_TURN,
+            "other_correction",
             _tpl((_U, "SLIP", "slip_utterance"), (_A, "CORRECTION", "value", "distractor")),
             frozenset({"babi", "smd"}), _anchors_slip,
         ),
         PatternRecipe(
-            "sequence_closer_not_helped", AnchorKind.AFTER_AGENT_TURN,
+            "sequence_closer_not_helped",
             _tpl((_U, "CLOSER"), (_A, "RECEIPT")),
-            frozenset({"babi", "smd"}), _anchors_not_helped,
+            frozenset({"babi", "smd"}), _anchors_not_helped, after=True,
         ),
         PatternRecipe(
-            "sequence_closer_repaired", AnchorKind.AFTER_AGENT_TURN,
+            "sequence_closer_repaired",
             _tpl((_U, "APPRECIATION"), (_A, "RECEIPT")),
-            frozenset({"babi", "smd"}), _anchors_repaired,
+            frozenset({"babi", "smd"}), _anchors_repaired, after=True,
         ),
         PatternRecipe(
-            "capability_expansion", AnchorKind.DIALOG_START,
+            "capability_expansion",
             _tpl(
                 (_U, "CAPABILITY-CHECK"),
                 (_A, "CAPABILITY-LIST", "capabilities"),
@@ -368,7 +359,7 @@ RECIPES: dict[str, PatternRecipe] = {
             frozenset({"babi", "smd"}), _anchors_capability,
         ),
         PatternRecipe(
-            "recipient_correction", AnchorKind.BEFORE_USER_TURN,
+            "recipient_correction",
             _tpl(
                 (_U, "SIDE-REMARK"),
                 (_A, "MISTAKEN-REPLY"),
@@ -413,19 +404,12 @@ def splice(turns: list[Turn], d: Dialog, recipe: PatternRecipe, a: Anchor, seed:
     `d`, at the anchor (an index into `turns`); returns the insert index. A
     splice that passes the checks keeps `turns` alternating, so a fold of
     splices needs one `Dialog` at the end."""
-    if a.dialog_id != d.id:
-        raise InjectionError(f"anchor belongs to {a.dialog_id}, not {d.id}")
     if any(t.injected_by == recipe.name for t in turns):
         raise InjectionError(f"pattern already applied at anchor: {recipe.name} in {d.id}")
-    kind, i = recipe.anchor_kind, a.turn_index
-    if not 0 <= i <= len(turns) or (i == len(turns) and kind is not AnchorKind.DIALOG_START):
+    i = a.turn_index
+    if not 0 <= i < len(turns):
         raise InjectionError(f"anchor index {i} out of range for {d.id}")
-    if kind is AnchorKind.BEFORE_USER_TURN and turns[i].speaker is not Speaker.USER:
-        raise InjectionError(f"anchor {i} in {d.id} is not a user turn")
-    if kind in (AnchorKind.BEFORE_AGENT_TURN, AnchorKind.AFTER_AGENT_TURN) \
-            and turns[i].speaker is not Speaker.AGENT:
-        raise InjectionError(f"anchor {i} in {d.id} is not an agent turn")
-    pos = i + 1 if kind is AnchorKind.AFTER_AGENT_TURN else i
+    pos = i + 1 if recipe.after else i
 
     block_first = recipe.template[0].speaker
     block_last = recipe.template[-1].speaker
@@ -437,7 +421,7 @@ def splice(turns: list[Turn], d: Dialog, recipe: PatternRecipe, a: Anchor, seed:
     if pos < len(turns) and turns[pos].speaker is block_last:
         raise InjectionError(f"{recipe.name}: splice at {pos} breaks alternation")
 
-    bound = a.bound_map()
+    bound = dict(a.bound)
     missing = [s for t in recipe.template for s in t.slots if s not in bound]
     if missing:
         raise InjectionError(f"unresolvable realization slot {missing[0]!r}")

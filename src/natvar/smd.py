@@ -157,12 +157,13 @@ def _flatten_kb(scenario, domain: str, index: int, entity) -> KbRecord:
     for item in items:
         if not isinstance(item, dict) or not item:
             raise ParseError(f"dialog {index}: malformed KB item")
-        subj_raw = item.get(subject_key) or next(iter(item.values()))
-        subj = entity(str(subj_raw))
-        for key, val in item.items():
-            if key == subject_key or val is None:
-                continue
-            entries.append((subj, entity(str(key)), entity(str(val))))
+        try:
+            subj = entity(str(item.get(subject_key) or next(iter(item.values()))))
+            for key, val in item.items():
+                if key != subject_key and val is not None:
+                    entries.append((subj, entity(str(key)), entity(str(val))))
+        except ModelError as e:
+            raise ParseError(f"dialog {index}: malformed KB item (empty entity)") from e
     return KbRecord(entries=tuple(entries))
 
 

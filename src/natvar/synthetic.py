@@ -71,6 +71,24 @@ def _assistant(text: str, slots: dict | None = None, requested: dict | None = No
     return {"turn": "assistant", "data": data}
 
 
+def _smd_turns(shape: str, opening: tuple, answer: dict, follow_up: tuple,
+               closing: tuple) -> list[dict]:
+    """One dialogue of `shape`: the `opening` exchange as (driver, assistant,
+    driver) texts, the `answer` turn, then by shape the `follow_up` exchange
+    as (driver text, assistant text, slots) on t6 and t8, a thanks on t5 and
+    the `closing` exchange as (driver, assistant) texts on t8. A "fail"
+    opening is an unfulfilled request, and the dialogue ends at the answer."""
+    ask, reply, retry = opening
+    turns = [_driver(ask), _assistant(reply), _driver(retry), answer]
+    if shape in ("t6", "t8"):
+        turns += [_driver(follow_up[0]), _assistant(*follow_up[1:])]
+    if shape == "t5":
+        turns.append(_driver("thank you!"))
+    if shape == "t8":
+        turns += [_driver(closing[0]), _assistant(closing[1], end=True)]
+    return turns
+
+
 def _navigate_dialog(rng: random.Random, shape: str) -> dict:
     pois = rng.sample(_POIS, 3)
     types = rng.sample(_POI_TYPES, 3)
@@ -81,36 +99,22 @@ def _navigate_dialog(rng: random.Random, shape: str) -> dict:
         for p, t, a, dd in zip(pois, types, addrs, dists)
     ]
     poi, ptype, addr, dist = pois[0], types[0], addrs[0], dists[0]
+    slots = {"poi_type": ptype, "poi": poi, "address": addr}
     if shape == "fail":
         missing = rng.choice([t for t in _POI_TYPES if t not in types])
-        turns = [
-            _driver(f"is there a {missing} nearby?"),
-            _assistant(f"Sorry, I could not find any {missing} nearby."),
-            _driver(f"ok, where is the nearest {ptype} then?"),
-            _assistant(f"{poi} is the nearest {ptype}, located at {addr}.",
-                       slots={"poi_type": ptype, "poi": poi, "address": addr}),
-        ]
+        opening = (f"is there a {missing} nearby?", f"Sorry, I could not find any {missing} nearby.",
+                   f"ok, where is the nearest {ptype} then?")
+        answer = _assistant(f"{poi} is the nearest {ptype}, located at {addr}.", slots)
     else:
-        turns = [
-            _driver(f"where is the nearest {ptype}?"),
-            _assistant("There are a couple nearby. Do you want the closest one?"),
-            _driver("yes, the closest one please"),
-            _assistant(f"{poi} is the closest {ptype}, located at {addr}.",
-                       slots={"poi_type": ptype, "poi": poi, "address": addr},
-                       requested={"address": True}),
-        ]
-        if shape in ("t6", "t8"):
-            turns += [
-                _driver("how far is it from here?"),
-                _assistant(f"{poi} is {dist} away.", slots={"distance": dist}),
-            ]
-        if shape == "t5":
-            turns.append(_driver("thank you!"))
-        if shape == "t8":
-            turns += [
-                _driver("thanks, set the directions please"),
-                _assistant("You're welcome, directions are on your screen.", end=True),
-            ]
+        opening = (f"where is the nearest {ptype}?",
+                   "There are a couple nearby. Do you want the closest one?",
+                   "yes, the closest one please")
+        answer = _assistant(f"{poi} is the closest {ptype}, located at {addr}.", slots,
+                            {"address": True})
+    turns = _smd_turns(shape, opening, answer,
+                       ("how far is it from here?", f"{poi} is {dist} away.", {"distance": dist}),
+                       ("thanks, set the directions please",
+                        "You're welcome, directions are on your screen."))
     kb = {"items": items, "column_names": ["poi", "poi_type", "address", "distance"],
           "kb_title": "location information"}
     return {"turns": turns, "kb": kb, "intent": "navigate"}
@@ -129,37 +133,20 @@ def _weather_dialog(rng: random.Random, shape: str) -> dict:
         per_city.append(fc)
     day = _DAYS[rng.randrange(4)]
     city, forecast = cities[0], per_city[0][day]
+    city2, forecast2 = cities[1], per_city[1][day]
     if shape == "fail":
         missing = rng.choice([c for c in _CITIES if c not in cities])
-        turns = [
-            _driver(f"what is the weather like in {missing}?"),
-            _assistant(f"Sorry, I could not find forecast data for {missing}."),
-            _driver(f"fine, how about {city}?"),
-            _assistant(f"it will be {forecast} on {day} in {city}.",
-                       slots={"location": city, "date": day, "weather_attribute": forecast}),
-        ]
+        opening = (f"what is the weather like in {missing}?",
+                   f"Sorry, I could not find forecast data for {missing}.", f"fine, how about {city}?")
     else:
-        turns = [
-            _driver(f"what is the weather like in {city} this week?"),
-            _assistant("Which day are you interested in?"),
-            _driver(f"{day} please"),
-            _assistant(f"it will be {forecast} on {day} in {city}.",
-                       slots={"location": city, "date": day, "weather_attribute": forecast}),
-        ]
-        if shape in ("t6", "t8"):
-            city2, forecast2 = cities[1], per_city[1][day]
-            turns += [
-                _driver(f"what about {city2}?"),
-                _assistant(f"in {city2} expect {forecast2} on {day}.",
-                           slots={"location": city2, "weather_attribute": forecast2}),
-            ]
-        if shape == "t5":
-            turns.append(_driver("thank you!"))
-        if shape == "t8":
-            turns += [
-                _driver("great, thanks for checking"),
-                _assistant("You're welcome, have a nice day.", end=True),
-            ]
+        opening = (f"what is the weather like in {city} this week?",
+                   "Which day are you interested in?", f"{day} please")
+    answer = _assistant(f"it will be {forecast} on {day} in {city}.",
+                        {"location": city, "date": day, "weather_attribute": forecast})
+    turns = _smd_turns(shape, opening, answer,
+                       (f"what about {city2}?", f"in {city2} expect {forecast2} on {day}.",
+                        {"location": city2, "weather_attribute": forecast2}),
+                       ("great, thanks for checking", "You're welcome, have a nice day."))
     kb = {"items": items, "column_names": ["location"] + list(_DAYS[:4]) + ["today"],
           "kb_title": "weekly forecast"}
     return {"turns": turns, "kb": kb, "intent": "weather"}
@@ -175,36 +162,21 @@ def _schedule_dialog(rng: random.Random, shape: str) -> dict:
         for e, d, t, p in zip(events, dates, times, parties)
     ]
     ev, date, tm, party = events[0], dates[0], times[0], parties[0]
+    requested = None
     if shape == "fail":
         missing = rng.choice([e for e in _EVENTS if e not in events])
-        turns = [
-            _driver(f"when is my {missing}?"),
-            _assistant(f"Sorry, I could not find any {missing} on your calendar."),
-            _driver(f"hm, when is my {ev} then?"),
-            _assistant(f"your {ev} is on {date} at {tm}.",
-                       slots={"event": ev, "date": date, "time": tm}),
-        ]
+        opening = (f"when is my {missing}?",
+                   f"Sorry, I could not find any {missing} on your calendar.",
+                   f"hm, when is my {ev} then?")
     else:
-        turns = [
-            _driver(f"when is my {ev}?"),
-            _assistant(f"Do you mean the upcoming {ev}?"),
-            _driver("yes, that one"),
-            _assistant(f"your {ev} is on {date} at {tm}.",
-                       slots={"event": ev, "date": date, "time": tm},
-                       requested={"date": True, "time": True}),
-        ]
-        if shape in ("t6", "t8"):
-            turns += [
-                _driver("who is going with me?"),
-                _assistant(f"{party} will attend the {ev} with you.", slots={"party": party}),
-            ]
-        if shape == "t5":
-            turns.append(_driver("thank you!"))
-        if shape == "t8":
-            turns += [
-                _driver("perfect, thanks"),
-                _assistant("You're welcome.", end=True),
-            ]
+        opening = (f"when is my {ev}?", f"Do you mean the upcoming {ev}?", "yes, that one")
+        requested = {"date": True, "time": True}
+    answer = _assistant(f"your {ev} is on {date} at {tm}.",
+                        {"event": ev, "date": date, "time": tm}, requested)
+    turns = _smd_turns(shape, opening, answer,
+                       ("who is going with me?", f"{party} will attend the {ev} with you.",
+                        {"party": party}),
+                       ("perfect, thanks", "You're welcome."))
     kb = {"items": items, "column_names": ["event", "date", "time", "party"],
           "kb_title": "calendar"}
     return {"turns": turns, "kb": kb, "intent": "schedule"}

@@ -60,6 +60,13 @@ def smd_file(tmp_path):
                                     b'{"targets": {}, "max_patterns_per_dialog": 2.5}',
                                     b'{"targets": {}, "histogram_targets": [1, false]}',
                                     b'{"targets": {}, "histogram_targets": [0.5]}',
+                                    # JSON strings and objects are not numbers or arrays
+                                    b'{"targets": {"capability_expansion": "5"}}',
+                                    b'{"targets": {}, "seed": "3"}',
+                                    b'{"targets": {}, "max_patterns_per_dialog": "4"}',
+                                    b'{"targets": {}, "histogram_targets": "5000"}',
+                                    b'{"targets": {}, "histogram_targets": ["5"]}',
+                                    b'{"targets": {}, "histogram_targets": {"5": 1}}',
                                     # not booleans, though bool() takes each of them
                                     b'{"targets": {}, "allow_shortfall": "no"}',
                                     b'{"targets": {}, "allow_shortfall": 0}',
@@ -133,6 +140,20 @@ def test_malformed_smd_kb_is_a_parse_error(capsys, tmp_path):
     assert (code, lines) == (2, ["error: dialog 1: malformed KB"])
 
 
+@pytest.mark.parametrize("edit", [
+    lambda item: item.update(today="  "),
+    lambda item: item.update(location=" "),
+    lambda item: item.update({" ": "sunny"}),
+], ids=["blank-value", "blank-subject", "blank-key"])
+def test_blank_smd_kb_entity_names_its_dialog(capsys, tmp_path, edit):
+    path = tmp_path / "corpus.json"
+    doc = json.loads(make_smd_bytes(n_dialogs=2))
+    edit(doc[1]["scenario"]["kb"]["items"][0])
+    path.write_text(json.dumps(doc))
+    code, lines = _run(capsys, ["stats", "--input", path, "--format", "smd"])
+    assert (code, lines) == (2, ["error: dialog 1: malformed KB item (empty entity)"])
+
+
 @pytest.mark.parametrize("pattern, message", [
     ("bogus", "error: unknown pattern 'bogus'"),
     ("open_request_user_detail_request",
@@ -145,6 +166,22 @@ def test_ablate_bad_pattern_is_a_configuration_error(capsys, tmp_path, smd_file,
                                 "smd-table1", "--pattern", pattern, "--output-dir", out])
     assert (code, lines) == (1, [message])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("targets", [
+    {"other_corection": 3, "capability_expansion": 2, "recipient_correction": 4},
+    {"other_corection": 3},
+], ids=["with-valid-names", "alone"])
+@pytest.mark.parametrize("cmd", ["inject", "ablate"])
+def test_config_naming_a_bad_pattern_is_a_configuration_error(capsys, tmp_path, cmd, targets):
+    corpus, config, out = tmp_path / "corpus.txt", tmp_path / "config.json", tmp_path / "out"
+    corpus.write_bytes(make_babi_bytes(n_dialogs=20))
+    config.write_text(json.dumps({"targets": targets}))
+    where = ["--all", "--output-dir", out] if cmd == "ablate" else ["--output", out]
+    code, lines = _run(capsys, [cmd, "--input", corpus, "--format", "babi", "--config", config,
+                                *where])
+    assert (code, lines) == (1, ["error: unknown pattern 'other_corection'"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpus.txt"]
 
 
 @pytest.mark.parametrize("cmd, options", [

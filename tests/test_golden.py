@@ -11,6 +11,7 @@ from natvar.baseline import candidates_from_corpus, predict
 from natvar.manifest import export_manifest
 from natvar.metrics import evaluate
 from natvar.planner import execute, plan, preset_config
+from natvar.synthetic import make_babi_bytes, make_smd_bytes
 
 SMD_PREDICTIONS = "030d82e3b63d99ba8a2e30447cf04baf6a5ba75bb7e70bcfe8a53987435f1312"
 SMD_REPORTS = {
@@ -18,6 +19,15 @@ SMD_REPORTS = {
     "dialog": "b9c27ed274a1df33755ca302c92b206bb99b8d6d5f3c5db5d268c6c1e2e7d26a",
 }
 BABI_PREDICTIONS = "de0995dfe52dbb693fdba18a43f4d410e13e8e947772d37e95b15cfe2a0cec36"
+# The synthetic corpora every other digest is computed on.
+SYNTHETIC = {
+    "smd-304": (lambda: make_smd_bytes(),
+                "f8cd86fabce1527a87844ec7f147a4ea95a4174122bacbe5dd7ecdc29f6f44b8"),
+    "smd-30": (lambda: make_smd_bytes(n_dialogs=30),
+               "c96c8d02479044a9a1614b2064eb70438622022e860bc9922fdb0dd1bd40b873"),
+    "babi-40": (lambda: make_babi_bytes(n_dialogs=40),
+                "a018e32cc8e60bf9bdee6f048d2209487ce33f0f0af2266ace8c4c97fd7318be"),
+}
 
 
 def _digest(data: bytes) -> str:
@@ -27,6 +37,12 @@ def _digest(data: bytes) -> str:
 def _predictions_bytes(preds) -> bytes:
     """Prediction file as `natvar baseline` writes it."""
     return ("\n".join(preds.responses) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("name", SYNTHETIC)
+def test_synthetic_corpus_bytes(name):
+    make, digest = SYNTHETIC[name]
+    assert _digest(make()) == digest
 
 
 @pytest.fixture(scope="module")

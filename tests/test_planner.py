@@ -171,6 +171,15 @@ class TestExecute:
         with pytest.raises(PlanMismatchError, match="mismatch"):
             execute(smd_corpus, pln)
 
+    def test_anchor_past_the_last_turn_rejected(self, small_smd_corpus):
+        cfg = PlanConfig(targets={"capability_expansion": 1}, seed=2, histogram_targets=None)
+        pln = plan(small_smd_corpus, cfg)
+        a = pln.assignments[0]
+        n_turns = len(small_smd_corpus.dialog_by_id()[a.dialog_id].turns)
+        moved = replace(a, anchor=replace(a.anchor, turn_index=n_turns))
+        with pytest.raises(PlanMismatchError, match=f"anchor {n_turns} out of range"):
+            execute(small_smd_corpus, replace(pln, assignments=(moved,)))
+
 
 def _folded_inject(corpus, pln) -> tuple:
     """The reference for `execute`: `recipes.inject` folded over each dialog's
@@ -182,7 +191,7 @@ def _folded_inject(corpus, pln) -> tuple:
     dialogs = []
     for d in corpus.dialogs:
         for a in todo.get(d.id, ()):
-            now = [i for i, t in enumerate(d.turns) if t.is_original] + [len(d.turns)]
+            now = [i for i, t in enumerate(d.turns) if t.is_original]
             anchor = replace(a.anchor, turn_index=now[a.anchor.turn_index])
             d = inject(d, RECIPES[a.pattern], anchor, pln.seed)
         dialogs.append(d)
@@ -206,7 +215,7 @@ def test_execute_equals_folded_inject(fmt, seed, n_dialogs, cap, edit, data):
         a = pln.assignments[k]
         if edit == "move":
             n_turns = len(corpus.dialog_by_id()[a.dialog_id].turns)
-            a = replace(a, anchor=replace(a.anchor, turn_index=data.draw(st.integers(0, n_turns))))
+            a = replace(a, anchor=replace(a.anchor, turn_index=data.draw(st.integers(0, n_turns - 1))))
         pln = replace(pln, assignments=pln.assignments[:k] + (a,) * (1 + (edit == "repeat"))
                       + pln.assignments[k + 1:])
     try:

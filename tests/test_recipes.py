@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from natvar.babi import parse_babi
@@ -52,7 +54,7 @@ class TestFindAnchors:
         assert len(anchors) == 1
         a = anchors[0]
         assert a.turn_index == 3
-        bound = a.bound_map()
+        bound = dict(a.bound)
         assert bound["prior_request"] == "yes please"
         assert bound["corrupted_answer"] != "chevron is at 783 arcadia pl"
 
@@ -65,7 +67,7 @@ class TestFindAnchors:
         d = babi.dialogs[0]
         anchors = find_anchors(RECIPES["other_correction"], d, seed=4)
         assert anchors
-        bound = anchors[0].bound_map()
+        bound = dict(anchors[0].bound)
         assert bound["value"] == "italian"
         assert bound["distractor"] != "italian"
         assert bound["distractor"] in {
@@ -149,13 +151,26 @@ class TestInject:
         d = _smd_dialog()
         recipe = RECIPES["misunderstanding_report"]
         with pytest.raises(InjectionError):
-            inject(d, recipe, Anchor(d.id, 0, (("corrupted_answer", "x"), ("prior_request", "y"))), seed=0)
+            inject(d, recipe, Anchor(0, (("corrupted_answer", "x"), ("prior_request", "y"))), seed=0)
+
+    @pytest.mark.parametrize("name", list(RECIPES))
+    def test_anchor_at_a_turn_of_the_wrong_speaker_rejected(self, name, small_smd_corpus,
+                                                            small_babi_corpus):
+        recipe = RECIPES[name]
+        corpus = small_smd_corpus if "smd" in recipe.datasets else small_babi_corpus
+        d, a = next((d, a) for d in corpus.dialogs for a in find_anchors(recipe, d))
+        right = d.turns[a.turn_index].speaker
+        wrong = [j for j, t in enumerate(d.turns) if t.speaker is not right]
+        assert wrong
+        for j in wrong:  # the anchor keeps its bindings, so only its turn can be at fault
+            with pytest.raises(InjectionError):
+                inject(d, recipe, replace(a, turn_index=j), seed=0)
 
     def test_missing_slot_named(self):
         d = _smd_dialog()
         recipe = RECIPES["open_request_screening"]
         with pytest.raises(InjectionError, match="intent"):
-            inject(d, recipe, Anchor(d.id, 0), seed=0)
+            inject(d, recipe, Anchor(0), seed=0)
 
     def test_originals_never_modified(self, smd_corpus):
         for d in smd_corpus.dialogs[:30]:
@@ -192,7 +207,7 @@ class TestRealize:
     def test_slots_substituted(self):
         d = _smd_dialog()
         out = inject(d, RECIPES["open_request_screening"],
-                     Anchor(d.id, 0, (("intent", "the weather"),)), seed=0)
+                     Anchor(0, (("intent", "the weather"),)), seed=0)
         forms = variants("open_request_screening", "PRE-REQUEST", "navigate")
         assert out.turns[0].text in {f.format(intent="the weather") for f in forms}
         assert _fill(variants("open_request_screening", "PRE-REQUEST", "weather")[0],
