@@ -17,16 +17,17 @@ turn indices are injected and by which pattern:
 
     babi-12: 0=open_request_screening,1=open_request_screening
 
-Both files are read line by line as `natvar.io.decode_lines` splits them.
+Both files are read line by line as `natvar.io.numbered_lines` splits them.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Iterable, Iterator
 
 from .catalog import check_pattern_name
-from .io import ParseError, decode_lines, numbered_lines
+from .io import ParseError, numbered_lines
 from .model import (
     Dialog,
     DialogCorpus,
@@ -86,13 +87,13 @@ def _api_slots(agent_text: str) -> tuple[tuple[str, str], ...]:
 def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus:
     """Parse a bAbI dialog-task file into a corpus.
 
-    Line endings are normalized to "\\n". When `origin_sidecar` is given,
-    the listed turn indices are restored as injected turns; a sidecar entry
-    for a dialog or turn the file does not have, or naming a pattern with no
-    recipe, raises ParseError. The decoded text is scanned one dialog block
-    at a time (`_blocks`): no list of the file's lines is built, and a block's
-    lines die once its `Dialog` is made. Each `Turn` is built with its final
-    origin and annotations.
+    Lines end at LF, CR or CRLF. When `origin_sidecar` is given, the listed
+    turn indices are restored as injected turns; a sidecar entry for a dialog
+    or turn the file does not have, or naming a pattern with no recipe, raises
+    ParseError. The file is decoded about 64 KiB of lines at a time and
+    scanned one dialog block at a time (`_blocks`): neither its text nor a
+    list of its lines is built, and a block's lines die once its `Dialog` is
+    made. Each `Turn` is built with its final origin and annotations.
 
     Task-5 dialogs come from fixed simulator templates, so most line bodies,
     turns and KB tokens recur across dialogs. `functools.cache`s made in the
@@ -106,7 +107,7 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     line, and each line's index is checked on its own. The caches die with
     the call.
     """
-    text = decode_lines(data, "bAbI file")
+    lines = numbered_lines(data, "bAbI file")
     injected = _parse_sidecar(origin_sidecar) if origin_sidecar else {}
 
     turn = functools.cache(Turn)
@@ -114,7 +115,7 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     token = functools.cache(str)  # the first of equal strings
     body_of = functools.cache(functools.partial(_line_body, turn, user_tokens, token))
     dialogs = []
-    for idx, block in enumerate(_blocks(text)):
+    for idx, block in enumerate(_blocks(lines)):
         dialog_id = f"babi-{idx}"
         dialogs.append(_parse_block(block, dialog_id, injected.pop(dialog_id, {}), turn, body_of))
     if injected:
@@ -129,20 +130,12 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     )
 
 
-def _blocks(text: str):
-    """Each dialog block of `text`, as a list of (1-based line number, line).
-
-    Lines split at "\\n" only; whitespace-only lines separate blocks.
-    """
-    block: list[tuple[int, str]] = []
-    for lineno, line in numbered_lines(text):
-        if line and not line.isspace():
-            block.append((lineno, line))
-        elif block:
+def _blocks(lines: Iterator[tuple[int, str]]):
+    """Each dialog block of `lines`, as an iterator of (line number, line)
+    valid until the next block is taken; whitespace-only lines separate blocks."""
+    for blank, block in itertools.groupby(lines, lambda numbered: not numbered[1].strip()):
+        if not blank:
             yield block
-            block = []
-    if block:
-        yield block
 
 
 def _line_body(turn, user_tokens, token, rest: str) -> tuple:
@@ -250,12 +243,16 @@ def babi_chunks(corpus: DialogCorpus) -> Iterable[bytes]:
     came from a file; otherwise one chunk per dialog block, with line
     indices renumbered 1..N per dialog, and one per separator. KB fact lines
     keep their position relative to the original agent turn they precede.
-    Every block is built before this returns, so a dialog bAbI cannot hold
-    raises ModelError before the first chunk.
+    A dialog bAbI cannot hold, one with an odd number of turns, raises
+    ModelError before this returns, so before a caller opens a file; each
+    block is then built as its chunk is taken.
     """
     if corpus.source_bytes and corpus.is_pristine:
         return (corpus.source_bytes,)
-    return _encode_joined([_serialize_dialog(d) for d in corpus.dialogs], "\n\n")
+    for d in corpus.dialogs:
+        if len(d.turns) % 2:
+            raise ModelError(f"dialog {d.id}: bAbI requires an even number of turns")
+    return _encode_joined(map(_serialize_dialog, corpus.dialogs), "\n\n")
 
 
 def _encode_joined(parts: Iterable[str], sep: str) -> Iterator[bytes]:
@@ -269,9 +266,7 @@ def _encode_joined(parts: Iterable[str], sep: str) -> Iterator[bytes]:
 
 
 @memo
-def _serialize_dialog(d: Dialog) -> str:
-    if len(d.turns) % 2 != 0:
-        raise ModelError(f"dialog {d.id}: bAbI requires an even number of turns")
+def _serialize_dialog(d: Dialog) -> str:  # `d` has an even number of turns (`babi_chunks`)
     ordinals, raw = d.source_info or ((), ())  # () for a dialog built in memory
     kb_by_ordinal: dict[int, list[tuple[str, str, str]]] = {}
     for fact, ordinal in zip(raw or d.kb.entries, ordinals):
@@ -281,9 +276,7 @@ def _serialize_dialog(d: Dialog) -> str:
     index = 1
     agent_ordinal = 0
     for i in range(0, len(d.turns), 2):
-        user, agent = d.turns[i], d.turns[i + 1]
-        if user.speaker is not Speaker.USER or agent.speaker is not Speaker.AGENT:
-            raise ModelError(f"dialog {d.id}: turn pairing broken at {i}")
+        user, agent = d.turns[i], d.turns[i + 1]  # alternation makes them (user, agent)
         if agent.is_original:
             for subj, attr, val in kb_by_ordinal.get(agent_ordinal, []):
                 lines.append(f"{index} {subj} {attr} {val}")
@@ -317,7 +310,7 @@ def _parse_sidecar(data: bytes) -> dict[str, dict[int, str]]:
     out: dict[str, dict[int, str]] = {}
     # item text -> (turn index, pattern), filled by successful parses only
     items: dict[str, tuple[int, str]] = {}
-    for lineno, line in numbered_lines(decode_lines(data, "sidecar")):
+    for lineno, line in numbered_lines(data, "sidecar"):
         if not line.strip():
             continue
         did, sep, rest = line.partition(":")

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import NatvarError
-from .io import ParseError, decode_lines
+from .io import ParseError, numbered_lines
 from .manifest import EvalManifest, PredictionSet
 from .model import DialogCorpus, Turn
 
@@ -52,7 +52,7 @@ def load_candidates(data: bytes) -> CandidateSet:
     end only at LF, CR or CRLF. The bAbI numbering, an ASCII-decimal token and
     a space before every non-empty line, is stripped with the spaces after it;
     any other file is kept verbatim, real leading numbers too."""
-    lines = [line.strip() for line in decode_lines(data, "candidate file").split("\n") if line.strip()]
+    lines = [line.strip() for _, line in numbered_lines(data, "candidate file") if line.strip()]
     if all(re.match(r"[0-9]+ ", line) for line in lines):
         lines = [line.partition(" ")[2].lstrip() for line in lines]
     out = list(dict.fromkeys(lines))
@@ -62,15 +62,9 @@ def load_candidates(data: bytes) -> CandidateSet:
 
 
 def candidates_from_corpus(corpus: DialogCorpus) -> CandidateSet:
-    """Gold agent responses of a corpus as the candidate pool."""
-    seen = set()
-    out = []
-    for d in corpus.dialogs:
-        for t in d.turns:
-            if t.speaker.value == "agent" and t.is_original and t.text not in seen:
-                seen.add(t.text)
-                out.append(t.text)
-    return CandidateSet(tuple(out))
+    """Gold agent responses of a corpus as the candidate pool, first occurrence first."""
+    return CandidateSet(tuple(dict.fromkeys(t.text for d in corpus.dialogs for t in d.turns
+                                            if t.speaker.value == "agent" and t.is_original)))
 
 
 def _sum_in_order(values) -> float:

@@ -170,12 +170,12 @@ def _write_run(base, subcommand: str, config: dict, inputs: dict, seed: int | No
 
 
 def _save_with_manifest(corpus, out: Path) -> list[str]:
-    """Write the corpus, its bAbI sidecar and OUT.manifest.tsv; returns the paths."""
+    """Write the corpus, its bAbI sidecar and OUT.manifest.tsv, each streamed; returns the paths."""
     from .io import save_corpus, write_chunks
-    from .manifest import export_manifest, manifest_chunks
+    from .manifest import export_chunks
 
     written = [str(p) for p in save_corpus(corpus, out)]
-    write_chunks(f"{out}.manifest.tsv", manifest_chunks(export_manifest(corpus)))
+    write_chunks(f"{out}.manifest.tsv", export_chunks(corpus))
     written.append(f"{out}.manifest.tsv")
     return written
 
@@ -209,7 +209,7 @@ def cmd_inject(args) -> int:
 def cmd_ablate(args) -> int:
     from .io import load_corpus, sha256_hex
     from .model import mean_utterances
-    from .planner import ablate, check_patterns
+    from .planner import PlanError, ablate, check_patterns
     from .recipes import patterns_for_dataset
 
     corpus = load_corpus(args.input, args.format)
@@ -217,6 +217,8 @@ def cmd_ablate(args) -> int:
     check_patterns(cfg.targets, args.format)  # --all runs only the valid names
     if args.all:
         names = [p for p in patterns_for_dataset(args.format) if cfg.targets.get(p, 0) > 0]
+        if not names:
+            raise PlanError("ablate --all: no pattern has a target above 0")
     else:
         names = [args.pattern]
     outdir = Path(args.output_dir)

@@ -1,13 +1,15 @@
 """The input plumbing every reader shares, and file-level load/save dispatch.
 
-Inputs are UTF-8, and a bad one raises `ParseError`. `decode_lines` alone
-says where a line of a line-oriented input ends: at LF, CR or CRLF, never at
-another Unicode line break. A format's module is imported on first use.
+Inputs are UTF-8, and a bad one raises `ParseError`. Every line-oriented
+input is read by `numbered_lines`, which alone says where a line ends: at LF,
+CR or CRLF, never at another Unicode line break, and which builds no text of
+a whole file. A format's module is imported on first use.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -21,27 +23,38 @@ class ParseError(NatvarError):
     """Malformed input: a corpus, sidecar, manifest, candidate, prediction or report file."""
 
 
-def decode_utf8(data: bytes, what: str) -> str:
-    """`data` as UTF-8 text; a ParseError names `what` and the first bad byte."""
+def decode_utf8(data, what: str, offset: int = 0) -> str:
+    """`data`, bytes at `offset` in an input, as UTF-8; a ParseError names `what` and the bad byte."""
     try:
-        return data.decode("utf-8")
+        return str(data, "utf-8")
     except UnicodeDecodeError as e:
-        raise ParseError(f"{what} is not valid UTF-8 at byte {e.start}") from e
+        raise ParseError(f"{what} is not valid UTF-8 at byte {offset + e.start}") from e
 
 
-def decode_lines(data: bytes, what: str) -> str:
-    """`data` as UTF-8 text (see `decode_utf8`) whose lines all end at "\\n":
-    CRLF and a lone CR become LF, and no other character ends a line."""
-    return decode_utf8(data, what).replace("\r\n", "\n").replace("\r", "\n")
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
-def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Each (1-based number, line) of `text`, split at "\\n" only, one at a time."""
-    start, lineno = 0, 1
-    while (stop := text.find("\n", start)) >= 0:
-        yield lineno, text[start:stop]
-        start, lineno = stop + 1, lineno + 1
-    yield lineno, text[start:]
+def numbered_lines(data: bytes, what: str) -> Iterator[tuple[int, str]]:
+    """Each (1-based number, line) of the UTF-8 `data`, split at LF, CR or CRLF
+    only. All of `data` is checked before this returns, so a bad byte (see
+    `decode_utf8`) is reported over any later error; the check, then the
+    lines, decode pieces of whole lines of about 64 KiB."""
+    view, bounds = memoryview(data), [0]
+    while bounds[-1] < len(data):
+        end = _LINE_END.search(data, bounds[-1] + (1 << 16))
+        bounds.append(end.end() if end else len(data))
+        decode_utf8(view[bounds[-2]:bounds[-1]], what, bounds[-2])
+
+    def lines():
+        lineno, last = 1, ""
+        for start, stop in zip(bounds, bounds[1:]):
+            text = str(view[start:stop], "utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            *whole, last = text.split("\n")
+            yield from enumerate(whole, lineno)
+            lineno += len(whole)
+        yield lineno, last
+
+    return lines()
 
 
 def sha256_hex(data: bytes) -> str:
@@ -92,11 +105,11 @@ def load_corpus(path: str | Path, fmt: str) -> DialogCorpus:
 def save_corpus(corpus: DialogCorpus, path: str | Path) -> list[Path]:
     """Write the corpus (and, for bAbI with injections, its origin sidecar).
 
-    The corpus is streamed to the file one bAbI dialog block or SMD
-    dialogue object at a time, and a sidecar one line at a time, through
-    the routines that `serialize_corpus` and `serialize_origin_sidecar`
-    join; no whole-file copy is built. A dialog bAbI cannot hold raises
-    ModelError before the file is opened. Returns the written paths.
+    A dialog bAbI cannot hold raises ModelError before the file is opened.
+    Then the corpus is streamed one bAbI dialog block or SMD dialogue object
+    at a time, and a sidecar one line at a time, through the routines that
+    `serialize_corpus` and `serialize_origin_sidecar` join; no whole-file
+    copy is built. Returns the written paths.
     """
     path = Path(path)
     write_chunks(path, corpus_chunks(corpus))

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .io import ParseError, decode_lines, numbered_lines
+from .io import ParseError, numbered_lines
 from .model import Dialog, DialogCorpus, Speaker, content_digest, memo
 
 
@@ -31,7 +31,10 @@ class EvalManifest:
 
     @memo
     def digest(self) -> str:
-        return hashlib.sha256(serialize_manifest(self)).hexdigest()
+        h = hashlib.sha256()
+        for chunk in manifest_chunks(self.corpus_tag, self.entries):
+            h.update(chunk)
+        return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -46,10 +49,13 @@ def corpus_tag(corpus: DialogCorpus) -> str:
 
 def export_manifest(corpus: DialogCorpus) -> EvalManifest:
     """Original agent turns in corpus order; injected turns are masked out."""
-    entries = []
-    for d in corpus.dialogs:
-        entries.extend(_dialog_entries(d))
-    return EvalManifest(entries=tuple(entries), corpus_tag=corpus_tag(corpus))
+    entries = tuple(e for d in corpus.dialogs for e in _dialog_entries(d))
+    return EvalManifest(entries=entries, corpus_tag=corpus_tag(corpus))
+
+
+def export_chunks(corpus: DialogCorpus) -> Iterator[bytes]:
+    """The manifest file of `export_manifest(corpus)`, without building the manifest."""
+    return manifest_chunks(corpus_tag(corpus), (e for d in corpus.dialogs for e in _dialog_entries(d)))
 
 
 @memo
@@ -75,14 +81,14 @@ def check_corpus(m: EvalManifest, corpus: DialogCorpus) -> None:
 
 def serialize_manifest(m: EvalManifest) -> bytes:
     """The manifest file of `m`: `manifest_chunks` joined."""
-    return b"".join(manifest_chunks(m))
+    return b"".join(manifest_chunks(m.corpus_tag, m.entries))
 
 
-def manifest_chunks(m: EvalManifest) -> Iterator[bytes]:
-    """The manifest file of `m`, one line at a time: a `# corpus_tag=` header,
-    then one 'dialog_id<TAB>turn_index<TAB>gold_text' line per entry."""
-    yield f"# corpus_tag={m.corpus_tag}\n".encode("utf-8")
-    for e in m.entries:
+def manifest_chunks(tag: str, entries: Iterable[ManifestEntry]) -> Iterator[bytes]:
+    """A manifest file, one line at a time: a `# corpus_tag=` header, then one
+    'dialog_id<TAB>turn_index<TAB>gold_text' line per entry."""
+    yield f"# corpus_tag={tag}\n".encode("utf-8")
+    for e in entries:
         yield f"{e.dialog_id}\t{e.turn_index}\t{e.gold_text}\n".encode("utf-8")
 
 
@@ -96,7 +102,7 @@ def parse_manifest(data: bytes) -> EvalManifest:
     tag = ""
     entries = []
     text = functools.cache(str)  # the first of equal strings
-    for lineno, line in numbered_lines(decode_lines(data, "manifest")):
+    for lineno, line in numbered_lines(data, "manifest"):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -117,8 +123,8 @@ def parse_manifest(data: bytes) -> EvalManifest:
 def read_predictions(data: bytes, manifest: EvalManifest) -> PredictionSet:
     """One predicted response per line, aligned to manifest order; lines end
     only at LF, CR or CRLF."""
-    lines = decode_lines(data, "prediction file").split("\n")
-    if lines and lines[-1] == "":
+    lines = [line for _, line in numbered_lines(data, "prediction file")]
+    if lines[-1] == "":
         lines.pop()
     if len(lines) != len(manifest.entries):
         raise ParseError(

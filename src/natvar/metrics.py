@@ -23,7 +23,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 from . import NatvarError
@@ -49,17 +49,7 @@ class EvalReport:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "bleu": self.bleu,
-            "entity_f1": self.entity_f1,
-            "per_response_acc": self.per_response_acc,
-            "per_dialog_acc": self.per_dialog_acc,
-            "n_responses": self.n_responses,
-            "n_dialogs": self.n_dialogs,
-            "corpus_tag": self.corpus_tag,
-            "checksums": dict(self.checksums),
-            "notes": list(self.notes),
-        }
+        return dict(asdict(self), checksums=dict(self.checksums), notes=list(self.notes))
 
     def render(self) -> str:
         lines = [

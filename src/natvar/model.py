@@ -13,7 +13,7 @@ object (`parse_babi` builds one per distinct turn). The value types built
 in the largest numbers are slotted dataclasses, which keeps them small and
 quick to build: `Turn` here, `manifest.ManifestEntry`, `recipes.Anchor` (a
 turn index and its slot bindings) and `planner.Assignment`. They carry no
-`memo`, which needs an instance `__dict__`.
+`memo`, which needs an instance `__dict__` (see it for what a `Dialog` keeps).
 """
 
 from __future__ import annotations
@@ -41,7 +41,12 @@ class ModelError(NatvarError):
 def memo(fn):
     """`fn(obj)` for an immutable `obj` (a frozen dataclass), computed once and
     kept in `obj.__dict__`: it dies with the object, and equality and hashing
-    still read the fields alone."""
+    still read the fields alone.
+
+    A `Dialog` keeps the result only when it carries no injected turn: such a
+    dialog comes from the source corpus, and `ablate --all` writes it into each
+    of its corpora, while a spliced dialog is written once.
+    """
     key = f"_memo_{fn.__module__}.{fn.__qualname__}"
 
     @functools.wraps(fn)
@@ -49,7 +54,9 @@ def memo(fn):
         try:
             return obj.__dict__[key]
         except KeyError:
-            out = obj.__dict__[key] = fn(obj)
+            out = fn(obj)
+            if not isinstance(obj, Dialog) or not any(t.injected_by for t in obj.turns):
+                obj.__dict__[key] = out
             return out
 
     return cached

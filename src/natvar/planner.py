@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import NatvarError
 from .model import Dialog, DialogCorpus, content_digest
@@ -84,13 +84,7 @@ class PlanConfig:
     pattern_order = PATTERN_ORDER
 
     def to_dict(self) -> dict:
-        return {
-            "targets": dict(self.targets),
-            "seed": self.seed,
-            "max_patterns_per_dialog": self.max_patterns_per_dialog,
-            "histogram_targets": list(self.histogram_targets) if self.histogram_targets else None,
-            "allow_shortfall": self.allow_shortfall,
-        }
+        return dict(asdict(self), histogram_targets=list(self.histogram_targets or ()) or None)
 
 
 #: Table-row targets for the two published testbeds.
@@ -362,8 +356,7 @@ def execute(corpus: DialogCorpus, pln: InjectionPlan) -> DialogCorpus:
     by_dialog: dict[str, list[Assignment]] = {}
     for a in pln.assignments:
         by_dialog.setdefault(a.dialog_id, []).append(a)
-    known = {d.id for d in corpus.dialogs}
-    missing = set(by_dialog) - known
+    missing = set(by_dialog) - {d.id for d in corpus.dialogs}
     if missing:
         raise PlanMismatchError(f"plan/corpus mismatch: unknown dialog ids {sorted(missing)[:3]}")
 
@@ -398,8 +391,7 @@ def ablate(corpus: DialogCorpus, cfg: PlanConfig, pattern: str) -> DialogCorpus:
     if cfg.targets.get(pattern, 0) <= 0:
         raise PlanError(f"no target configured for {pattern}")
     solo = replace(cfg, targets={pattern: cfg.targets[pattern]}, histogram_targets=None)
-    pln = plan(corpus, solo)
-    return execute(corpus, pln)
+    return execute(corpus, plan(corpus, solo))
 
 
 def overlap_histogram(corpus: DialogCorpus) -> dict[int, int]:

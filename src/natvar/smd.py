@@ -51,6 +51,7 @@ _OPEN = re.compile(rf"{_WS}\[{_WS}(\]{_WS}\Z)?")  # "[", or a whole empty array 
 _NEXT = re.compile(rf"{_WS}(?:,{_WS}|(\]){_WS}\Z)")  # ",", or "]" at the end (group 1)
 _DECODE = json.JSONDecoder().raw_decode
 _ENCODE = json.JSONEncoder(ensure_ascii=False).encode  # a scalar, "[]" or "{}"
+_COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode  # a source object
 
 
 def parse_smd(data: bytes) -> DialogCorpus:
@@ -125,7 +126,7 @@ def _parse_dialogue(el, index: int, entity) -> Dialog:
         except ModelError as e:
             raise ParseError(f"dialog {index}: {e}") from e
         if injected_by is None:
-            raw_originals.append(json.dumps(obj, ensure_ascii=False, separators=(",", ":")))
+            raw_originals.append(_COMPACT(obj))
 
     turns = _derive_user_slots(turns, kb)
 
@@ -135,8 +136,7 @@ def _parse_dialogue(el, index: int, entity) -> Dialog:
             domain=domain,
             turns=tuple(turns),
             kb=kb,
-            source_info=(json.dumps(scenario, ensure_ascii=False, separators=(",", ":")),
-                         tuple(raw_originals)),
+            source_info=(_COMPACT(scenario), tuple(raw_originals)),
         )
     except ModelError as e:
         raise ParseError(f"dialog {index}: {e}") from e

@@ -184,6 +184,17 @@ def test_config_naming_a_bad_pattern_is_a_configuration_error(capsys, tmp_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpus.txt"]
 
 
+@pytest.mark.parametrize("targets", [{"capability_expansion": 0}, {}], ids=["zero", "empty"])
+def test_ablate_all_with_no_target_is_a_configuration_error(capsys, tmp_path, targets):
+    corpus, config, out = tmp_path / "corpus.txt", tmp_path / "config.json", tmp_path / "out"
+    corpus.write_bytes(make_babi_bytes(n_dialogs=20))
+    config.write_text(json.dumps({"targets": targets}))
+    code, lines = _run(capsys, ["ablate", "--all", "--input", corpus, "--format", "babi",
+                                "--config", config, "--output-dir", out])
+    assert (code, lines) == (1, ["error: ablate --all: no pattern has a target above 0"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpus.txt"]
+
+
 @pytest.mark.parametrize("cmd, options", [
     ("ablate", ["--preset", "smd-table1"]),
     ("ablate", ["--preset", "smd-table1", "--pattern", "example_request", "--all"]),
@@ -386,11 +397,12 @@ def test_baseline_against_a_corpus_the_manifest_does_not_fit(capsys, tmp_path):
 
 
 def test_eval_serializes_the_manifest_once(capsys, tmp_path, monkeypatch):
-    # read_predictions and the metric walk both check the manifest digest.
+    # read_predictions and the metric walk both check the manifest digest,
+    # which walks the manifest's lines.
     corpus, manifest, preds = _eval_inputs(tmp_path, seed=1, n_dialogs=6)
     calls = []
-    real = nman.serialize_manifest
-    monkeypatch.setattr(nman, "serialize_manifest", lambda m: calls.append(m) or real(m))
+    real = nman.manifest_chunks
+    monkeypatch.setattr(nman, "manifest_chunks", lambda *m: calls.append(m) or real(*m))
     code, _ = _run(capsys, ["eval", "--predictions", preds, "--manifest", manifest,
                             "--corpus", corpus, "--format", "babi"])
     assert code == 0

@@ -47,6 +47,30 @@ def _check_record(root: Path, name: str, subcommand: str, inputs: dict) -> None:
     assert record["outputs"] and all(Path(p).is_file() for p in record["outputs"])
 
 
+def test_ablate_all_writes_what_each_single_pattern_run_writes(capsys, tmp_path):
+    # `ablate --all` reuses across its corpora the outputs of the dialogs it
+    # does not splice; none of one corpus's outputs may reach another. Each
+    # single-pattern run is its own interpreter, so it starts with no outputs.
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(make_babi_bytes(n_dialogs=40))
+    plan_args = ["--input", corpus, "--format", "babi", "--preset", "babi-table1",
+                 "--allow-shortfall"]
+    assert cli.main([str(a) for a in ["ablate", *plan_args, "--all", "--output-dir",
+                                      tmp_path / "all"]]) == 0
+    capsys.readouterr()
+    patterns = list(PRESETS["babi-table1"]["targets"])
+    assert len(patterns) == 7 and len(list((tmp_path / "all").iterdir())) == 7 * 4
+    for pattern in patterns:
+        one = tmp_path / pattern
+        subprocess.run([sys.executable, "-m", "natvar.cli", "ablate", *map(str, plan_args),
+                        "--pattern", pattern, "--output-dir", str(one)], check=True,
+                       env=dict(os.environ, PYTHONPATH=str(SRC)), stderr=subprocess.DEVNULL)
+        names = sorted(p.name for p in one.iterdir() if not p.name.endswith(".run.json"))
+        assert names == sorted(f"{pattern}.txt{ext}" for ext in ("", ".origin", ".manifest.tsv"))
+        for name in names:
+            assert (tmp_path / "all" / name).read_bytes() == (one / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("fmt", sorted(CASES))
 def test_round_trip(capsys, tmp_path, fmt):
     make, ext, pattern, targets = CASES[fmt]

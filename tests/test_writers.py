@@ -2,6 +2,7 @@
 bytes the `serialize_*` functions return, and the streamed corpus digest is
 the hash of the joined payloads."""
 
+import gc
 import hashlib
 from dataclasses import replace
 
@@ -10,9 +11,9 @@ import pytest
 from natvar.babi import parse_babi, serialize_origin_sidecar
 from natvar.cli import _save_with_manifest
 from natvar.io import save_corpus, serialize_corpus
-from natvar.manifest import export_manifest, serialize_manifest
+from natvar.manifest import export_manifest, parse_manifest, read_predictions, serialize_manifest
 from natvar.model import Dialog, DialogCorpus, ModelError, Speaker, Turn, content_digest
-from natvar.planner import PlanConfig, execute, plan
+from natvar.planner import PlanConfig, execute, plan, preset_config
 from natvar.stats import corpus_stats
 
 TARGETS = {"open_request_screening": 5, "misunderstanding_report": 5}
@@ -88,14 +89,50 @@ def test_odd_turn_count_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.fixture(scope="module")
+def injected_babi(babi_corpus):
+    return execute(babi_corpus, plan(babi_corpus, preset_config("babi-table1")))
+
+
+def test_manifest_digest_is_the_hash_of_the_manifest_file(corpus):
+    m = export_manifest(corpus)
+    assert m.digest() == hashlib.sha256(serialize_manifest(m)).hexdigest()
+
+
+def test_save_keeps_nothing_it_wrote_for_a_spliced_dialog(tmp_path, injected_babi, traced):
+    # A spliced dialog is written once, so it keeps none of its outputs, only
+    # the empty attribute table that looking them up makes (64 bytes each,
+    # 2.9% of the file on Python 3.11). Keeping them is 2.6 times the file.
+    # The collection clears the interpreter's free lists, which tracemalloc
+    # counts as allocated.
+    assert all(d.applied_patterns for d in injected_babi.dialogs)
+    out = tmp_path / "out.txt"
+    _, retained, _ = traced(lambda: (_save_with_manifest(injected_babi, out), gc.collect()))
+    assert retained < 0.05 * out.stat().st_size
+
+
 def test_parse_holds_one_block_of_lines_at_a_time(babi_bytes, traced):
-    # Beyond what the corpus keeps, the parse holds the decoded text, its
-    # per-call caches and one block: 3.5-3.8 times the file's size on Python
-    # 3.10-3.13. A list of every line with its number as well (the 1,000-dialog
-    # fixture has about 27,000) takes it to 6.3-6.6 times.
+    # Beyond what the corpus keeps, the parse holds its per-call caches, one
+    # block and one 64 KiB piece of decoded lines: 2.6 times the file's size
+    # on Python 3.11. The whole decoded text as well takes it to 3.6 (3.5-3.8
+    # on 3.10-3.13), and a list of every line with its number (the 1,000-dialog
+    # fixture has about 27,000) on top of that to 6.3-6.6 times.
     corpus, retained, peak = traced(lambda: parse_babi(babi_bytes))
     assert len(corpus.dialogs) == 1000
-    assert peak - retained < 5 * len(babi_bytes)
+    assert peak - retained < 3.2 * len(babi_bytes)
+
+
+def test_manifest_and_prediction_reads_hold_no_whole_file_text(injected_babi, traced):
+    # On Python 3.11, the manifest parse holds 0.58 times its file beyond what
+    # it keeps, mostly its string table, and reading predictions with the
+    # manifest digest 0.21 times. Decoding the whole text first takes them to
+    # 1.18 and 1.01, and hashing a joined manifest takes the latter to 5.9.
+    manifest_bytes = serialize_manifest(export_manifest(injected_babi))
+    manifest, retained, peak = traced(lambda: parse_manifest(manifest_bytes))
+    assert peak - retained < 0.9 * len(manifest_bytes)
+    preds = "".join(f"{e.gold_text}\n" for e in manifest.entries).encode("utf-8")
+    _, retained, peak = traced(lambda: read_predictions(preds, manifest))
+    assert peak - retained < 0.5 * len(preds)
 
 
 def test_parse_keeps_each_kb_token_and_fact_once(babi_bytes, traced):
