@@ -74,16 +74,6 @@ def slot_for_question(text: str) -> str | None:
     return None
 
 
-def _api_slots(agent_text: str) -> tuple[tuple[str, str], ...]:
-    """(slot, value) annotations of an api_call turn; () for any other."""
-    if not agent_text.startswith("api_call "):
-        return ()
-    args = agent_text.split()[1:]
-    if len(args) != len(API_CALL_SLOTS):
-        return ()
-    return tuple(zip(API_CALL_SLOTS, args))
-
-
 def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus:
     """Parse a bAbI dialog-task file into a corpus.
 
@@ -93,15 +83,14 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     ParseError. The file is decoded about 64 KiB of lines at a time and
     scanned one dialog block at a time (`_blocks`): neither its text nor a
     list of its lines is built, and a block's lines die once its `Dialog` is
-    made. Each `Turn` is built with its final origin and annotations.
+    made. Each `Turn` is built with its final origin.
 
     Task-5 dialogs come from fixed simulator templates, so most line bodies,
     turns and KB tokens recur across dialogs. `functools.cache`s made in the
     call remember them: `turn` builds one shared `Turn` per distinct set of
-    fields, `user_tokens` one token set per distinct user text (far fewer than
-    the bodies), `token` keeps one string per distinct KB fact token, and
+    fields, `token` keeps one string per distinct KB fact token, and
     `body_of` parses each distinct body (the text after a line's index) once,
-    through the other three. A fact already in canonical (lowercase) form is
+    through the other two. A fact already in canonical (lowercase) form is
     its own KB entry, so such a fact is one tuple of shared strings. A cache
     keeps no exception, so every error is raised again and named by its own
     line, and each line's index is checked on its own. The caches die with
@@ -111,9 +100,8 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     injected = _parse_sidecar(origin_sidecar) if origin_sidecar else {}
 
     turn = functools.cache(Turn)
-    user_tokens = functools.cache(lambda text: frozenset(text.lower().split()))
     token = functools.cache(str)  # the first of equal strings
-    body_of = functools.cache(functools.partial(_line_body, turn, user_tokens, token))
+    body_of = functools.cache(functools.partial(_line_body, turn, token))
     dialogs = []
     for idx, block in enumerate(_blocks(lines)):
         dialog_id = f"babi-{idx}"
@@ -138,18 +126,15 @@ def _blocks(lines: Iterator[tuple[int, str]]):
             yield block
 
 
-def _line_body(turn, user_tokens, token, rest: str) -> tuple:
-    """The body of a line: (original user turn without annotations, original
-    agent turn, user tokens) for an utterance, (None, raw triple, lowercased
-    triple) for a KB fact, the two one tuple when they are equal. A
-    ParseError here names no line."""
+def _line_body(turn, token, rest: str) -> tuple:
+    """The body of a line: (original user turn, original agent turn) for an
+    utterance, (None, raw triple, lowercased triple) for a KB fact, the two
+    one tuple when they are equal. A ParseError here names no line."""
     if "\t" in rest:
         user_text, _, agent_text = rest.partition("\t")
         if not user_text.strip() or not agent_text.strip():
             raise ParseError("empty utterance")
-        return (turn(Speaker.USER, user_text, None, ()),
-                turn(Speaker.AGENT, agent_text, None, _api_slots(agent_text)),
-                user_tokens(user_text))
+        return turn(Speaker.USER, user_text), turn(Speaker.AGENT, agent_text)
     parts = rest.split()
     if len(parts) != 3:
         raise ParseError("not an utterance line (no tab) and not a 3-token KB fact")
@@ -162,7 +147,7 @@ def _line_body(turn, user_tokens, token, rest: str) -> tuple:
 
 def _parse_block(block, dialog_id: str, injected_turns: dict[int, str], turn, body_of) -> Dialog:
     # utterance-line bodies, as `_line_body` gives them
-    pairs: list[tuple[Turn, Turn, frozenset[str]]] = []
+    pairs: list[tuple[Turn, Turn]] = []
     # (raw triple, lowercased triple, index of the utterance line the fact precedes)
     facts: list[tuple[tuple[str, str, str], tuple[str, str, str], int]] = []
     prev_index = 0
@@ -191,37 +176,18 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str], turn, bo
             raise ParseError(f"sidecar: turn {i} is out of range for {dialog_id} "
                              f"({2 * len(pairs)} turns)")
 
-    # Injected agent turns (a corrupted answer can look like an api_call)
-    # contribute neither annotations nor api values.
-    api_values: dict[str, list[str]] = {}
-    for k, (_, agent_turn, _) in enumerate(pairs):
-        if 2 * k + 1 not in injected_turns:
-            for key, val in agent_turn.annotations:
-                api_values.setdefault(key, []).append(val)
-    any_value = frozenset(v for vals in api_values.values() for v in vals)
-
     turns: list[Turn] = []
     # ordinals[k]: original agent turns before utterance line k. A fact is
     # anchored by it, so injected agent turns do not shift the anchors.
     ordinals = [0]
-    for k, (user_turn, agent_turn, toks) in enumerate(pairs):
-        # Slot annotations for original user turns: per slot, the first
-        # api_call value the turn mentions. Injected turns get none.
+    for k, (user_turn, agent_turn) in enumerate(pairs):
         user_by = injected_turns.get(2 * k)
         if user_by is not None:
-            user_turn = turn(Speaker.USER, user_turn.text, user_by, ())
-        elif not any_value.isdisjoint(toks):
-            user_annotations = []
-            for key, vals in api_values.items():
-                for v in vals:
-                    if v in toks:
-                        user_annotations.append((key, v))
-                        break
-            user_turn = turn(Speaker.USER, user_turn.text, None, tuple(user_annotations))
+            user_turn = turn(Speaker.USER, user_turn.text, user_by)
         turns.append(user_turn)
         agent_by = injected_turns.get(2 * k + 1)
         if agent_by is not None:
-            agent_turn = turn(Speaker.AGENT, agent_turn.text, agent_by, ())
+            agent_turn = turn(Speaker.AGENT, agent_turn.text, agent_by)
         turns.append(agent_turn)
         ordinals.append(ordinals[-1] + (agent_by is None))
 
@@ -234,6 +200,29 @@ def _parse_block(block, dialog_id: str, injected_turns: dict[int, str], turn, bo
                      () if all(raw is lower for raw, lower, _ in facts)
                      else tuple(raw for raw, _, _ in facts)),
     )
+
+
+def user_slots(d: Dialog) -> Iterator[tuple[int, tuple[tuple[str, str], ...]]]:
+    """(turn index, (slot, value) pairs) of each original user turn of `d` that
+    holds a slot value, in turn order, derived as it is taken. Per slot, a turn
+    takes the first value of the dialog's original `api_call` turns (one
+    argument per `API_CALL_SLOTS` entry) whose token it holds. Injected turns
+    neither give nor take values: a corrupted answer can read like an api_call."""
+    api_values: dict[str, list[str]] = {}
+    for t in d.turns:
+        if t.text.startswith("api_call ") and t.speaker is Speaker.AGENT and t.is_original:
+            args = t.text.split()[1:]
+            if len(args) == len(API_CALL_SLOTS):
+                for slot, value in zip(API_CALL_SLOTS, args):
+                    api_values.setdefault(slot, []).append(value)
+    any_value = {v for values in api_values.values() for v in values}
+    for i, t in enumerate(d.turns):
+        if t.speaker is Speaker.USER and t.is_original:
+            held = any_value.intersection(t.text.lower().split())
+            if held:
+                yield i, tuple((slot, next(v for v in values if v in held))
+                               for slot, values in api_values.items()
+                               if not held.isdisjoint(values))
 
 
 def babi_chunks(corpus: DialogCorpus) -> Iterable[bytes]:

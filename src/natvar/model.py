@@ -5,7 +5,8 @@ user/agent starting with the user; both supported corpora are strict
 user-initiative exchanges. Every turn carries an origin: it is either part
 of the source corpus or was injected by a named conversation pattern.
 Knowledge-base facts are context, not turns, so they live in a separate
-record attached to the dialog.
+record attached to the dialog. A turn carries no slot values: the
+other-correction anchor finder derives them with its format's `user_slots`.
 
 All types are immutable values after construction and safe to share
 between dialogs: a parser may hand every equal turn the same `Turn`
@@ -161,13 +162,11 @@ def entities_in(text: str, lexicon: frozenset[str] | set[str]) -> set[str]:
 @dataclass(frozen=True, slots=True)
 class Turn:
     """One utterance. `injected_by` is None for source-corpus turns,
-    otherwise the name of the pattern that introduced the turn.
-    `annotations` are (slot, value) pairs."""
+    otherwise the name of the pattern that introduced the turn."""
 
     speaker: Speaker
     text: str
     injected_by: str | None = None
-    annotations: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if not self.text:
@@ -178,10 +177,6 @@ class Turn:
     @property
     def is_original(self) -> bool:
         return self.injected_by is None
-
-    def slots(self) -> dict[str, str]:
-        """Slot annotations, keyed by slot name."""
-        return dict(self.annotations)
 
 
 @dataclass(frozen=True)

@@ -242,10 +242,13 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
     check_patterns(cfg.targets, corpus.source_format)
     order = [p for p in PATTERN_ORDER if cfg.targets.get(p, 0) > 0]
     dialog_pos = {d.id: i for i, d in enumerate(corpus.dialogs)}
-    # A dialog's first anchor decides eligibility; picked dialogs list all below.
+    # A dialog carrying a pattern is not eligible for it again; otherwise its
+    # first anchor decides eligibility. Picked dialogs list all below.
+    carried = {d.id: d.applied_patterns for d in corpus.updated_dialogs()}
     eligible = {
         p: [d.id for d in corpus.dialogs
-            if next(iter_anchors(RECIPES[p], d, cfg.seed), None) is not None]
+            if p not in carried.get(d.id, ())
+            and next(iter_anchors(RECIPES[p], d, cfg.seed), None) is not None]
         for p in order
     }
 
@@ -282,8 +285,8 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
         need = targets[p]
         if need == 0:
             continue
-        # Eligibility is per-pattern and a dialog receives each pattern at
-        # most once, so only the per-dialog cap filters here.
+        # Eligibility is per-pattern and excludes dialogs that carry the
+        # pattern, so only the per-dialog cap filters here.
         cands = [did for did in eligible[p] if count[did] < cap]
         if len(cands) < need:
             if not cfg.allow_shortfall:

@@ -9,15 +9,17 @@ user/agent alternation is refused, which also refuses an anchor at a turn
 of the wrong speaker. Injected turns never modify an original turn, which
 is what keeps the masked-evaluation manifest invariant under injection.
 
-Anchor heuristics key off the dialog annotations (slot values, question
-forms, knowledge-base contents). Where a slip or a corrupted answer is
-needed, the distractor is the value of the same attribute drawn from the
-dialog's KB (falling back to the fixed slot vocabulary for the restaurant
-corpus); dialogs without any distractor simply yield no anchor. A finder is
-a generator of the dialog's anchors in turn order, so its first anchor
-decides eligibility. It draws in turn order from one generator keyed by
-(seed, dialog, pattern), and no draw decides whether an anchor exists, only
-what it binds: a fresh call yields the same anchors.
+Anchor heuristics key off the dialog's turns and knowledge base (question
+forms, entity mentions, KB contents). The slip finder alone reads a user
+turn's slot values, which its format module's `user_slots` derives. Where a
+slip or a corrupted answer is needed, the distractor is the value of the
+same attribute drawn from the dialog's KB (falling back to the fixed slot
+vocabulary for the restaurant corpus); dialogs without any distractor
+simply yield no anchor. A finder is a generator of the dialog's anchors in
+turn order, so its first anchor decides eligibility. It draws in turn order
+from one generator keyed by (seed, dialog, pattern), and no draw decides
+whether an anchor exists, only what it binds: a fresh call yields the same
+anchors.
 
 `RECIPES` is the one registry of recipe patterns: a row declares the
 pattern's name, template, datasets and anchor finder, and whether the block
@@ -236,16 +238,18 @@ def _anchors_misunderstanding(d: Dialog, new_rng) -> Iterator[Anchor]:
 def _anchors_slip(d: Dialog, new_rng) -> Iterator[Anchor]:
     """Draws distractors slot by slot until one swaps in. Only an empty
     candidate list or an absent span rules a slot out, never a draw."""
+    if d.domain == "restaurant":
+        from .babi import user_slots
+    else:  # imported here, so a bAbI run never loads the SMD module
+        from .smd import user_slots
     rng = new_rng()
-    for i, t in enumerate(d.turns):
-        if t.speaker is not Speaker.USER or not t.is_original:
-            continue
-        for slot, raw in sorted(t.slots().items()):
+    for i, slots in user_slots(d):
+        for slot, raw in sorted(slots):
             value = normalize_entity(raw)
             distr = _distractor(d.kb, d.domain, slot, value, rng)
             if distr is None:
                 continue
-            slip = _swap_span(t.text, value, distr)
+            slip = _swap_span(d.turns[i].text, value, distr)
             if slip is not None:
                 yield Anchor(i, (("slip_utterance", slip), ("value", entity_display(value)),
                                  ("distractor", entity_display(distr))))

@@ -14,7 +14,8 @@ fields, `"injected": true` and `"pattern": "<name>"`, so consumers of the
 original schema still parse updated files.
 
 Original turn and scenario objects are kept verbatim as compact JSON strings,
-so saving is lossless. Parse and save handle one dialogue object at a time.
+so saving is lossless, and `user_slots` reads the turns' `slots` from them, not
+the parse. Parse and save handle one dialogue object at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-import sys
 from collections.abc import Iterator
 
 from .catalog import check_pattern_name
@@ -102,8 +102,6 @@ def _parse_dialogue(el, index: int, entity) -> Dialog:
         raise ParseError(f"dialog {index}: dialogue is not a JSON array")
 
     kb = _flatten_kb(scenario, domain, index, entity)
-    kb_ents = kb.all_entities()
-
     turns: list[Turn] = []
     raw_originals: list[str] = []
     for j, obj in enumerate(raw_turns):
@@ -117,18 +115,16 @@ def _parse_dialogue(el, index: int, entity) -> Dialog:
         text = " ".join(utterance.split())
         if not text:
             raise ParseError(f"dialog {index}: empty utterance in turn {j}")
-        injected_by = obj.get("pattern") if obj.get("injected") else None
         if obj.get("injected"):
+            injected_by = obj.get("pattern")
             check_pattern_name(injected_by, f"dialog {index}: turn {j}")
-        try:
-            annotations = () if injected_by else _turn_annotations(obj["data"], text, kb_ents)
-            turns.append(Turn(speaker, text, injected_by=injected_by, annotations=annotations))
-        except ModelError as e:
-            raise ParseError(f"dialog {index}: {e}") from e
-        if injected_by is None:
+        else:
+            injected_by = None
+            if not isinstance(obj["data"].get("slots") or {}, dict):
+                raise ParseError(f"dialog {index}: turn slots are not a JSON object")
             raw_originals.append(_COMPACT(obj))
-
-    turns = _derive_user_slots(turns, kb)
+        # `text` is one-line and not empty, so `Turn` accepts it.
+        turns.append(Turn(speaker, text, injected_by))
 
     try:
         return Dialog(
@@ -167,45 +163,34 @@ def _flatten_kb(scenario, domain: str, index: int, entity) -> KbRecord:
     return KbRecord(entries=tuple(entries))
 
 
-def _turn_annotations(data, text: str, kb_ents: set[str]) -> tuple[tuple[str, str], ...]:
-    ann: list[tuple[str, str]] = []
-    slots = data.get("slots") or {}
-    if not isinstance(slots, dict):
-        raise ModelError("turn slots are not a JSON object")
-    for key, val in slots.items():
-        if not isinstance(val, str) or not val.strip():
-            continue
-        norm = normalize_entity(val)
-        # Keep only slot values grounded in the utterance or the KB.
-        if norm in kb_ents or entities_in(text, {norm}):
-            ann.append((sys.intern(key), val))
-    return tuple(ann)
-
-
-def _derive_user_slots(turns: list[Turn], kb: KbRecord) -> list[Turn]:
-    """Copy each assistant slot annotation onto the nearest preceding
-    original user turn that mentions the slot value."""
-    extra: dict[int, list[tuple[str, str]]] = {}
-    for i, t in enumerate(turns):
-        if t.speaker is not Speaker.AGENT or not t.is_original:
-            continue
-        for key, val in t.annotations:
-            norm = normalize_entity(val)
-            for j in range(i - 1, -1, -1):
-                u = turns[j]
-                if u.speaker is Speaker.USER and u.is_original and entities_in(u.text, {norm}):
-                    have = dict(u.annotations) | {k: v for k, v in extra.get(j, [])}
-                    if key not in have:
-                        extra.setdefault(j, []).append((key, val))
-                    break
-    if not extra:
-        return turns
-    return [
-        Turn(t.speaker, t.text, injected_by=t.injected_by,
-             annotations=t.annotations + tuple(extra.get(i, [])))
-        if i in extra else t
-        for i, t in enumerate(turns)
-    ]
+def user_slots(d: Dialog) -> Iterator[tuple[int, tuple[tuple[str, str], ...]]]:
+    """(turn index, (slot, value) pairs) of each original user turn of `d` that
+    holds a slot value, in turn order, read from the kept source turn objects.
+    A turn's own `slots` count when the value is grounded in its utterance or
+    the KB. Then each assistant slot is copied to the nearest earlier user turn
+    that mentions its value, unless that turn has the slot already. A dialog
+    built in memory has no source objects, so it has no slots."""
+    if not d.source_info:
+        return
+    kb_ents = d.kb.all_entities()
+    originals = [(i, t, {}) for i, t in enumerate(d.turns) if t.is_original]
+    for (_, t, own), raw in zip(originals, d.source_info[1]):
+        for key, val in (json.loads(raw)["data"].get("slots") or {}).items():
+            if isinstance(val, str) and val.strip():
+                norm = normalize_entity(val)
+                if norm in kb_ents or entities_in(t.text, {norm}):
+                    own[key] = val
+    for k, (_, t, own) in enumerate(originals):
+        if t.speaker is Speaker.AGENT:
+            for key, val in own.items():
+                norm = normalize_entity(val)
+                for _, u, slots in reversed(originals[:k]):
+                    if u.speaker is Speaker.USER and entities_in(u.text, {norm}):
+                        slots.setdefault(key, val)
+                        break
+    for i, t, own in originals:
+        if t.speaker is Speaker.USER and own:
+            yield i, tuple(own.items())
 
 
 def smd_chunks(corpus: DialogCorpus) -> Iterator[bytes]:

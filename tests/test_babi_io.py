@@ -8,6 +8,7 @@ from natvar.babi import (
     parse_babi,
     serialize_origin_sidecar,
     slot_for_question,
+    user_slots,
 )
 from natvar import cli
 from natvar.io import load_corpus, serialize_corpus
@@ -51,15 +52,30 @@ class TestParse:
 
     def test_api_call_slot_annotations(self):
         d = parse_babi(SIMPLE).dialogs[0]
-        agent_api = d.turns[5]
-        assert agent_api.text.startswith("api_call")
-        assert agent_api.slots() == {
-            "cuisine": "french", "location": "paris", "number": "six", "price": "cheap",
-        }
-        request = d.turns[2]
-        assert request.slots() == {
-            "cuisine": "french", "location": "paris", "number": "six", "price": "cheap",
-        }
+        assert d.turns[5].text == "api_call french paris six cheap"
+        # The api_call's four arguments, and only the request (turn 2) holds them.
+        assert list(user_slots(d)) == [
+            (2, (("cuisine", "french"), ("location", "paris"), ("number", "six"), ("price", "cheap"))),
+        ]
+
+    def test_injected_turns_neither_give_nor_take_slot_values(self):
+        # Turns 3-6 are a misunderstanding_report block whose corrupted answer
+        # (turn 3) reads like an api_call naming french before the original
+        # api_call (turn 9) names italian; turn 6 restates turn 2.
+        data = (b"1 hi\thello what can i help you with today\n"
+                b"2 i love italian or french food in rome\tapi_call french rome two expensive\n"
+                b"3 that is not what i asked for\tsorry could you repeat that\n"
+                b"4 i love italian or french food in rome\ti'm on it\n"
+                b"5 <silence>\tapi_call italian rome two expensive\n")
+        sidecar = b"babi-0: " + b",".join(b"%d=misunderstanding_report" % i for i in range(3, 7))
+        d = parse_babi(data, sidecar).dialogs[0]
+        assert list(user_slots(d)) == [(2, (("cuisine", "italian"), ("location", "rome")))]
+        # Read as all original, the first api_call's french comes first.
+        pristine = parse_babi(data).dialogs[0]
+        assert list(user_slots(pristine)) == [
+            (2, (("cuisine", "french"), ("location", "rome"))),
+            (6, (("cuisine", "french"), ("location", "rome"))),
+        ]
 
     def test_non_monotone_index_rejected(self):
         bad = b"1 hi\thello\n1 more\ttext\n"

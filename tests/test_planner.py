@@ -112,6 +112,20 @@ class TestPlan:
             per_dialog[a.dialog_id] = per_dialog.get(a.dialog_id, 0) + 1
         assert max(per_dialog.values()) <= 2
 
+    @pytest.mark.parametrize("fmt", ["smd", "babi"])
+    def test_dialog_carrying_a_pattern_is_not_eligible_for_it(self, request, fmt):
+        corpus = request.getfixturevalue(f"small_{fmt}_corpus")
+        cfg = preset_config(f"{fmt}-table1", seed=0, allow_shortfall=True)
+        updated = execute(corpus, plan(corpus, cfg))
+        again = plan(updated, replace(cfg, seed=1))
+        carried = {d.id: d.applied_patterns for d in updated.dialogs}
+        assert again.assignments
+        assert not any(a.pattern in carried[a.dialog_id] for a in again.assignments)
+        twice = execute(updated, again)
+        for d, before in zip(twice.dialogs, updated.dialogs):
+            assert [t for t in d.turns if t.injected_by in before.applied_patterns] \
+                == [t for t in before.turns if t.injected_by]
+
     def test_plan_holds_no_table_of_anchors(self, babi_corpus, traced):
         # Eligibility needs only each dialog's first anchor. The stage holds
         # about 0.2 MB beyond the plan it returns; a table of every anchor of

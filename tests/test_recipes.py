@@ -25,12 +25,10 @@ def _smd_dialog(did="smd-0"):
         ("valero", "address", "200_alester_ave"),
     ))
     turns = (
-        Turn(Speaker.USER, "where is the nearest gas station?",
-             annotations=(("poi_type", "gas station"),)),
+        Turn(Speaker.USER, "where is the nearest gas station?"),
         Turn(Speaker.AGENT, "Do you want the closest one?"),
         Turn(Speaker.USER, "yes please"),
-        Turn(Speaker.AGENT, "chevron is at 783 arcadia pl",
-             annotations=(("poi", "chevron"),)),
+        Turn(Speaker.AGENT, "chevron is at 783 arcadia pl"),
     )
     return Dialog(id=did, domain="navigate", turns=turns, kb=kb)
 

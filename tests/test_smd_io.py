@@ -8,7 +8,7 @@ from natvar.io import ParseError
 from natvar.io import save_corpus, serialize_corpus
 from natvar.model import DialogCorpus, build_global_entities, normalize_entity
 from natvar.planner import PlanConfig, execute, plan
-from natvar.smd import parse_smd, smd_chunks
+from natvar.smd import parse_smd, smd_chunks, user_slots
 from natvar.synthetic import make_smd_bytes
 
 
@@ -96,19 +96,49 @@ class TestParse:
         assert all(attr in ("poi_type", "address", "distance")
                    for _, attr, _ in d.kb.entries)
 
-    def test_slot_annotations_preserved(self, smd_corpus):
-        annotated = [
-            t for d in smd_corpus.dialogs for t in d.turns
-            if t.speaker.value == "agent" and t.slots()
-        ]
-        assert annotated
+    def test_user_slots_from_source_turns(self, smd_corpus):
+        def turn(speaker, utterance, slots=None, injected=False):
+            data = {"end_dialogue": False, "utterance": utterance}
+            if slots:
+                data["slots"] = slots
+            obj = {"turn": speaker, "data": data}
+            if injected:
+                obj.update(injected=True, pattern="open_request_screening")
+            return obj
 
-    def test_user_turns_inherit_mentioned_slots(self, smd_corpus):
-        hits = [
-            t for d in smd_corpus.dialogs for t in d.turns
-            if t.speaker.value == "user" and t.slots()
+        d = _dialogue(kb_items=[
+            {"poi": "Chevron", "poi_type": "gas station", "address": "783 Arcadia Pl",
+             "distance": "5 miles"},
+            {"poi": "Valero", "poi_type": "gas station", "address": "200 Alester Ave"},
+        ])
+        d["dialogue"] = [
+            # "5 miles" is in the KB and kept; "no traffic" is in neither the
+            # utterance nor the KB, so it is dropped.
+            turn("driver", "where is a gas station like chevron",
+                 {"distance": "5 miles", "traffic_info": "no traffic"}),
+            turn("assistant", "chevron and valero are gas stations"),
+            turn("driver", "take me to the chevron gas station, not a parking garage",
+                 {"poi_type": "parking garage"}),
+            turn("assistant", "which one?"),
+            # Injected turns' slots are not read, and they take no copy.
+            turn("driver", "chevron please", {"poi": "chevron"}, injected=True),
+            turn("assistant", "sure", injected=True),
+            turn("driver", "yes"),
+            # Each slot goes only to the nearest user turn that names its value,
+            # turn 2: poi is copied, and turn 2 keeps its own poi_type, so
+            # turn 0 gets neither.
+            turn("assistant", "chevron is at 783 arcadia pl",
+                 {"poi": "chevron", "poi_type": "gas station"}),
         ]
-        assert hits
+        parsed = parse_smd(_doc([d])).dialogs[0]
+        assert list(user_slots(parsed)) == [
+            (0, (("distance", "5 miles"),)),
+            (2, (("poi_type", "parking garage"), ("poi", "chevron"))),
+        ]
+        # A dialog built in memory has no source turn objects, so no slots.
+        assert list(user_slots(replace(parsed, source_info=()))) == []
+        # On the full fixture, 449 user turns hold one slot each.
+        assert [len(pairs) for d in smd_corpus.dialogs for _, pairs in user_slots(d)] == [1] * 449
 
 
 class TestRoundTrip:
