@@ -6,7 +6,7 @@ from dataclasses import replace
 from natvar import smd
 from natvar.io import ParseError
 from natvar.io import save_corpus, serialize_corpus
-from natvar.model import DialogCorpus, build_global_entities, normalize_entity
+from natvar.model import DialogCorpus, build_global_entities, entities_in, normalize_entity
 from natvar.planner import PlanConfig, execute, plan
 from natvar.smd import parse_smd, smd_chunks, user_slots
 from natvar.synthetic import make_smd_bytes
@@ -95,6 +95,33 @@ class TestParse:
         assert len(subjects) == 3
         assert all(attr in ("poi_type", "address", "distance")
                    for _, attr, _ in d.kb.entries)
+
+    def test_slot_annotations_preserved(self, smd_bytes, smd_corpus):
+        # Turns carry no slots; the kept source turn objects hold every
+        # annotation of the file, 454 slotted assistant turns among them.
+        doc = json.loads(smd_bytes)
+        kept = [[json.loads(raw) for raw in d.source_info[1]] for d in smd_corpus.dialogs]
+        assert kept == [dialogue["dialogue"] for dialogue in doc]
+        annotated = [t for turns in kept for t in turns
+                     if t["turn"] == "assistant" and t["data"].get("slots")]
+        assert len(annotated) == 454
+
+    def test_user_turns_inherit_mentioned_slots(self, smd_corpus):
+        # No driver turn of the fixture has slots of its own, so each of the
+        # 449 slotted user turns inherits its one pair from a later assistant
+        # turn of the same dialog whose value the user turn names.
+        hits = 0
+        for d in smd_corpus.dialogs:
+            raws = [json.loads(raw) for raw in d.source_info[1]]
+            assert not any(t["data"].get("slots") for t in raws if t["turn"] == "driver")
+            for i, pairs in user_slots(d):
+                assert d.turns[i].speaker.value == "user"
+                for key, val in pairs:
+                    assert any((t["data"].get("slots") or {}).get(key) == val
+                               for t in raws[i + 1:] if t["turn"] == "assistant")
+                    assert entities_in(d.turns[i].text, {normalize_entity(val)})
+                    hits += 1
+        assert hits == 449
 
     def test_user_slots_from_source_turns(self, smd_corpus):
         def turn(speaker, utterance, slots=None, injected=False):
