@@ -226,18 +226,13 @@ def user_slots(d: Dialog) -> Iterator[tuple[int, tuple[tuple[str, str], ...]]]:
 
 
 def babi_chunks(corpus: DialogCorpus) -> Iterable[bytes]:
-    """The canonical bAbI text form of `corpus`, as chunks to write in order.
-
-    The retained source bytes verbatim when the corpus is untouched and
-    came from a file; otherwise one chunk per dialog block, with line
-    indices renumbered 1..N per dialog, and one per separator. KB fact lines
-    keep their position relative to the original agent turn they precede.
-    A dialog bAbI cannot hold, one with an odd number of turns, raises
-    ModelError before this returns, so before a caller opens a file; each
-    block is then built as its chunk is taken.
+    """The canonical bAbI text form of `corpus`, as chunks to write in order:
+    one per dialog block, with line indices renumbered 1..N per dialog, and
+    one per separator. KB fact lines keep their position relative to the
+    original agent turn they precede. A dialog bAbI cannot hold, one with an
+    odd number of turns, raises ModelError before this returns, so before a
+    caller opens a file; each block is then built as its chunk is taken.
     """
-    if corpus.source_bytes and corpus.is_pristine:
-        return (corpus.source_bytes,)
     for d in corpus.dialogs:
         if len(d.turns) % 2:
             raise ModelError(f"dialog {d.id}: bAbI requires an even number of turns")

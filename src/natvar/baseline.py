@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from . import NatvarError
 from .io import ParseError, numbered_lines
-from .manifest import EvalManifest, PredictionSet
+from .manifest import EvalManifest, PredictionSet, export_manifest
 from .model import DialogCorpus, Turn
 
 
@@ -62,9 +62,9 @@ def load_candidates(data: bytes) -> CandidateSet:
 
 
 def candidates_from_corpus(corpus: DialogCorpus) -> CandidateSet:
-    """Gold agent responses of a corpus as the candidate pool, first occurrence first."""
-    return CandidateSet(tuple(dict.fromkeys(t.text for d in corpus.dialogs for t in d.turns
-                                            if t.speaker.value == "agent" and t.is_original)))
+    """The gold responses of the corpus's manifest as the candidate pool,
+    first occurrence first."""
+    return CandidateSet(tuple(dict.fromkeys(e.gold_text for e in export_manifest(corpus).entries)))
 
 
 def _sum_in_order(values) -> float:

@@ -236,10 +236,9 @@ def cmd_ablate(args) -> int:
 
 def cmd_stats(args) -> int:
     from .io import load_corpus
-    from .stats import corpus_stats, render_stats
+    from .stats import corpus_stats
 
-    corpus = load_corpus(args.input, args.format)
-    text = render_stats(corpus_stats(corpus))
+    text = corpus_stats(load_corpus(args.input, args.format))
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -279,11 +278,10 @@ def cmd_eval(args) -> int:
 
 def cmd_review(args) -> int:
     from .io import load_corpus, sha256_hex
-    from .planner import render_review, sample_review
+    from .planner import render_review
 
     corpus = load_corpus(args.input, args.format)
-    sheet = sample_review(corpus, args.fraction, args.seed)
-    text = render_review(sheet, corpus)
+    text = render_review(corpus, args.fraction, args.seed)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
         _write_run(args.output, "review", {"fraction": args.fraction},

@@ -76,7 +76,11 @@ def serialize_corpus(corpus: DialogCorpus) -> bytes:
 
 
 def corpus_chunks(corpus: DialogCorpus) -> Iterable[bytes]:
-    """The file of `corpus` in its format, as chunks to write in order."""
+    """The file of `corpus` in its format, as chunks to write in order: the
+    retained source bytes verbatim when the corpus is untouched and came from
+    a file."""
+    if corpus.source_bytes and corpus.is_pristine:
+        return (corpus.source_bytes,)
     if corpus.source_format == "babi":
         from .babi import babi_chunks
         return babi_chunks(corpus)

@@ -295,15 +295,11 @@ class DialogCorpus:
         return tuple(d for d in self.dialogs if d.applied_patterns)
 
 
-def utterance_count(d: Dialog) -> int:
-    """Number of utterances in a dialog; every turn is one utterance."""
-    return len(d.turns)
-
-
 def mean_utterances(corpus: DialogCorpus) -> float:
+    """Mean turns per dialog; every turn is one utterance."""
     if not corpus.dialogs:
         return 0.0
-    return sum(utterance_count(d) for d in corpus.dialogs) / len(corpus.dialogs)
+    return sum(len(d.turns) for d in corpus.dialogs) / len(corpus.dialogs)
 
 
 def build_global_entities(dialogs: tuple[Dialog, ...], extra: set[str] = frozenset()) -> Lexicon:

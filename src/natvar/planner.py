@@ -237,7 +237,9 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
 
     Raises ShortfallError when a pattern's eligible dialog count is below
     its target, unless cfg.allow_shortfall caps the target and records the
-    gap.
+    gap. On an updated corpus the per-dialog cap counts the patterns each
+    dialog already carries, while the overlap buckets count only this
+    plan's assignments.
     """
     check_patterns(cfg.targets, corpus.source_format)
     order = [p for p in PATTERN_ORDER if cfg.targets.get(p, 0) > 0]
@@ -286,8 +288,9 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
         if need == 0:
             continue
         # Eligibility is per-pattern and excludes dialogs that carry the
-        # pattern, so only the per-dialog cap filters here.
-        cands = [did for did in eligible[p] if count[did] < cap]
+        # pattern, so only the per-dialog cap filters here. It bounds the
+        # patterns a dialog carries, those of its input included.
+        cands = [did for did in eligible[p] if len(carried.get(did, ())) + count[did] < cap]
         if len(cands) < need:
             if not cfg.allow_shortfall:
                 raise ShortfallError([(p, need, len(cands), cap)])
@@ -404,40 +407,25 @@ def overlap_histogram(corpus: DialogCorpus) -> dict[int, int]:
     return {k: sum(1 for c in counts if c >= k) for k in range(1, top + 2)}
 
 
-@dataclass(frozen=True)
-class ReviewSheet:
-    dialog_ids: tuple[str, ...]
-    sample_fraction: float
-    seed: int
-    updated_total: int
-
-
-def sample_review(updated: DialogCorpus, fraction: float, seed: int) -> ReviewSheet:
-    """Seeded uniform sample of round(fraction x updated dialogs), half-up."""
+def render_review(corpus: DialogCorpus, fraction: float, seed: int) -> str:
+    """Markdown of a seeded uniform sample of round(fraction x updated
+    dialogs), half-up, in corpus order; injected turns are prefixed with
+    [+pattern]."""
     if not 0 < fraction <= 1:
         raise PlanError(f"fraction must be in (0, 1], got {fraction}")
-    ids = [d.id for d in updated.dialogs if d.applied_patterns]
-    if not ids:
+    updated = corpus.updated_dialogs()
+    if not updated:
         raise PlanError("no updated dialogs to review")
-    n = int(fraction * len(ids) + 0.5)
-    rng = random.Random(seed)
-    picked = set(rng.sample(ids, n))
-    ordered = tuple(i for i in ids if i in picked)
-    return ReviewSheet(ordered, fraction, seed, len(ids))
-
-
-def render_review(sheet: ReviewSheet, corpus: DialogCorpus) -> str:
-    """Markdown rendering; injected turns are prefixed with [+pattern]."""
-    by_id = corpus.dialog_by_id()
+    n = int(fraction * len(updated) + 0.5)
     lines = [
-        f"# review sample: {len(sheet.dialog_ids)} of {sheet.updated_total} "
-        f"updated dialogs (fraction={sheet.sample_fraction}, seed={sheet.seed})",
+        f"# review sample: {n} of {len(updated)} "
+        f"updated dialogs (fraction={fraction}, seed={seed})",
         "",
     ]
-    for did in sheet.dialog_ids:
-        d = by_id[did]
+    for i in sorted(random.Random(seed).sample(range(len(updated)), n)):
+        d = updated[i]
         pats = ", ".join(sorted(d.applied_patterns))
-        lines.append(f"## {did} [{pats}]")
+        lines.append(f"## {d.id} [{pats}]")
         for t in d.turns:
             tag = "U" if t.speaker.value == "user" else "A"
             mark = f"[+{t.injected_by}] " if t.injected_by else ""

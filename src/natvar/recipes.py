@@ -13,13 +13,15 @@ Anchor heuristics key off the dialog's turns and knowledge base (question
 forms, entity mentions, KB contents). The slip finder alone reads a user
 turn's slot values, which its format module's `user_slots` derives. Where a
 slip or a corrupted answer is needed, the distractor is the value of the
-same attribute drawn from the dialog's KB (falling back to the fixed slot
-vocabulary for the restaurant corpus); dialogs without any distractor
-simply yield no anchor. A finder is a generator of the dialog's anchors in
-turn order, so its first anchor decides eligibility. It draws in turn order
-from one generator keyed by (seed, dialog, pattern), and no draw decides
-whether an anchor exists, only what it binds: a fresh call yields the same
-anchors.
+same attribute drawn from the dialog's KB, falling back to the fixed slot
+vocabulary for the restaurant corpus. A bAbI slot is named without the
+`r_` of its KB attribute (`cuisine`, not `r_cuisine`), so the KB never
+matches it and every bAbI slip draws from that vocabulary. Dialogs without
+any distractor simply yield no anchor. A finder is a generator of the
+dialog's anchors in turn order, so its first anchor decides eligibility. It
+draws in turn order from one generator keyed by (seed, dialog, pattern), and
+no draw decides whether an anchor exists, only what it binds: a fresh call
+yields the same anchors.
 
 `RECIPES` is the one registry of recipe patterns: a row declares the
 pattern's name, template, datasets and anchor finder, and whether the block
@@ -173,9 +175,7 @@ def find_anchors(recipe: PatternRecipe, d: Dialog, seed: int = 0) -> list[Anchor
 
 
 def _anchors_screening(d: Dialog, new_rng) -> Iterator[Anchor]:
-    if d.turns[0].speaker is Speaker.USER:
-        intent = _INTENT_PHRASES[d.domain]
-        yield Anchor(0, (("intent", intent),))
+    yield Anchor(0, (("intent", _INTENT_PHRASES[d.domain]),))
 
 
 def _anchors_user_detail(d: Dialog, new_rng) -> Iterator[Anchor]:
@@ -223,7 +223,7 @@ def _anchors_misunderstanding(d: Dialog, new_rng) -> Iterator[Anchor]:
         return
     rng = new_rng()
     for i, t in enumerate(d.turns):
-        if t.speaker is not Speaker.AGENT or not t.is_original or i == 0:
+        if t.speaker is not Speaker.AGENT or not t.is_original:
             continue
         for _, _, ent in entity_spans(t.text, lexicon):
             distrs = (_distractor(d.kb, d.domain, attr, ent, rng) for attr in d.kb.attributes_of(ent))
@@ -278,8 +278,6 @@ def _anchors_repaired(d: Dialog, new_rng) -> Iterator[Anchor]:
 
 
 def _anchors_capability(d: Dialog, new_rng) -> Iterator[Anchor]:
-    if d.turns[0].speaker is not Speaker.USER:
-        return
     caps = _BABI_CAPABILITIES if d.domain == "restaurant" else _SMD_CAPABILITIES
     bound = [("capabilities", ", ".join(c for c, _ in caps))]
     for k, (cap, example) in enumerate(caps, start=1):

@@ -195,10 +195,7 @@ def user_slots(d: Dialog) -> Iterator[tuple[int, tuple[tuple[str, str], ...]]]:
 
 def smd_chunks(corpus: DialogCorpus) -> Iterator[bytes]:
     """`json.dumps(doc, ensure_ascii=False, indent=2) + "\\n"` in UTF-8, one dialogue
-    object of `doc` at a time; the source bytes of a pristine file-backed corpus."""
-    if corpus.source_bytes and corpus.is_pristine:
-        yield corpus.source_bytes
-        return
+    object of `doc` at a time."""
     sep = "[\n  "
     for d in corpus.dialogs:
         scenario_json, raw_originals = d.source_info

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from .io import corpus_chunks
 from .model import DialogCorpus, mean_utterances
@@ -18,60 +17,29 @@ ADDED_TURNS_ASSUMPTION = (
 )
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    source_format: str
-    n_dialogs: int
-    n_utterances: int
-    mean_utterances: float
-    n_updated: int
-    pattern_counts: tuple[tuple[str, int], ...]
-    histogram: tuple[tuple[int, int], ...]
-    lexicon_size: int
-    checksum: str
-    notes: tuple[str, ...]
-
-
-def corpus_stats(corpus: DialogCorpus) -> CorpusStats:
+def corpus_stats(corpus: DialogCorpus) -> str:
+    """The `natvar stats` report of `corpus`."""
     counts = {p: 0 for p in patterns_for_dataset(corpus.source_format)}
     for d in corpus.dialogs:
         for p in d.applied_patterns:
             counts[p] = counts.get(p, 0) + 1
-    hist = overlap_histogram(corpus)
-    n_utt = sum(len(d.turns) for d in corpus.dialogs)
     checksum = hashlib.sha256()  # of the file bytes, hashed chunk by chunk
     for chunk in (corpus.source_bytes,) if corpus.source_bytes else corpus_chunks(corpus):
         checksum.update(chunk)
-    return CorpusStats(
-        source_format=corpus.source_format,
-        n_dialogs=len(corpus.dialogs),
-        n_utterances=n_utt,
-        mean_utterances=mean_utterances(corpus),
-        n_updated=len(corpus.updated_dialogs()),
-        pattern_counts=tuple(counts.items()),
-        histogram=tuple(sorted(hist.items())),
-        lexicon_size=len(corpus.global_entities),
-        checksum=checksum.hexdigest(),
-        notes=(ADDED_TURNS_ASSUMPTION,),
-    )
-
-
-def render_stats(stats: CorpusStats) -> str:
     lines = [
-        f"format: {stats.source_format}",
-        f"checksum: sha256:{stats.checksum}",
-        f"dialogs: {stats.n_dialogs}",
-        f"utterances: {stats.n_utterances}",
-        f"mean utterances per dialog: {stats.mean_utterances:.2f}",
-        f"entity lexicon size: {stats.lexicon_size}",
-        f"dialogs updated: {stats.n_updated}",
+        f"format: {corpus.source_format}",
+        f"checksum: sha256:{checksum.hexdigest()}",
+        f"dialogs: {len(corpus.dialogs)}",
+        f"utterances: {sum(len(d.turns) for d in corpus.dialogs)}",
+        f"mean utterances per dialog: {mean_utterances(corpus):.2f}",
+        f"entity lexicon size: {len(corpus.global_entities)}",
+        f"dialogs updated: {len(corpus.updated_dialogs())}",
         "dialogs updated per pattern:",
     ]
-    for name, count in stats.pattern_counts:
+    for name, count in counts.items():
         lines.append(f"  {name:<36}{count:>6}  (+{len(RECIPES[name].template)} turns each)")
     lines.append("dialogs updated per number of patterns:")
-    for k, v in stats.histogram:
+    for k, v in sorted(overlap_histogram(corpus).items()):
         lines.append(f"  >={k:<3}{v:>6}")
-    for note in stats.notes:
-        lines.append(f"note: {note}")
+    lines.append(f"note: {ADDED_TURNS_ASSUMPTION}")
     return "\n".join(lines) + "\n"

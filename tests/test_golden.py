@@ -8,6 +8,7 @@ import json
 import pytest
 
 from natvar.baseline import candidates_from_corpus, predict
+from natvar.cli import main
 from natvar.manifest import export_manifest
 from natvar.metrics import evaluate
 from natvar.planner import execute, plan, preset_config
@@ -70,3 +71,43 @@ def test_babi_baseline_predictions(small_babi_corpus):
     manifest = export_manifest(small_babi_corpus)
     preds = predict(small_babi_corpus, manifest, candidates_from_corpus(small_babi_corpus))
     assert _digest(_predictions_bytes(preds)) == BABI_PREDICTIONS
+
+
+# `natvar stats` and `natvar review --fraction 0.5 --seed 3` on the seed-0
+# `inject` output of each preset.
+CLI_REPORTS = {
+    ("babi", "stats"):
+        "5b438ae2e18a08e3306677bca3c72f1bdba2a304a751e396bc92a65e9da29de0",
+    ("babi", "review"):
+        "8cb98263689d87dc56d842d805482f74bcda35e6498cb5ab807b730d690c780c",
+    ("smd", "stats"):
+        "cf92d18df517fafcd6f5ac683621e89b6ff2b0e4570cd074485d9973a8b08fc8",
+    ("smd", "review"):
+        "1e6c9d97f1684e3509f215a1f01e890d9463a07eb83bf326cb460ecdfc448d34",
+}
+REVIEW_ARGS = ["--fraction", "0.5", "--seed", "3"]
+
+
+@pytest.fixture(scope="module", params=["babi", "smd"])
+def preset_run(request, tmp_path_factory, babi_bytes, smd_bytes):
+    fmt = request.param
+    tmp = tmp_path_factory.mktemp(fmt)
+    source, updated = tmp / f"source.{fmt}", tmp / f"updated.{fmt}"
+    source.write_bytes(babi_bytes if fmt == "babi" else smd_bytes)
+    assert main(["inject", "--input", str(source), "--format", fmt, "--preset",
+                 f"{fmt}-table1", "--seed", "0", "--output", str(updated)]) == 0
+    return fmt, source, updated
+
+
+@pytest.mark.parametrize("cmd", ["stats", "review"])
+def test_stats_and_review_output(capsys, preset_run, cmd):
+    fmt, _, updated = preset_run
+    extra = REVIEW_ARGS if cmd == "review" else []
+    assert main([cmd, "--input", str(updated), "--format", fmt, *extra]) == 0
+    assert _digest(capsys.readouterr().out.encode("utf-8")) == CLI_REPORTS[fmt, cmd]
+
+
+def test_review_of_a_pristine_corpus_is_a_plan_error(capsys, preset_run):
+    fmt, source, _ = preset_run
+    assert main(["review", "--input", str(source), "--format", fmt, *REVIEW_ARGS]) == 1
+    assert capsys.readouterr() == ("", "error: no updated dialogs to review\n")

@@ -12,8 +12,8 @@ from natvar.model import (
     Turn,
     entities_in,
     entity_spans,
+    mean_utterances,
     normalize_entity,
-    utterance_count,
 )
 
 
@@ -133,12 +133,13 @@ def _dialog(*speakers_texts, domain="navigate"):
 
 
 class TestDialogInvariants:
+    # Every turn is one utterance.
     def test_utterance_count_empty(self):
-        assert utterance_count(_dialog()) == 0
+        assert mean_utterances(DialogCorpus(dialogs=(_dialog(),), source_format="smd")) == 0
 
     def test_utterance_count_three_exchanges(self):
         d = _dialog(*[(Speaker.USER, "u"), (Speaker.AGENT, "a")] * 3)
-        assert utterance_count(d) == 6
+        assert mean_utterances(DialogCorpus(dialogs=(d,), source_format="smd")) == 6
 
     def test_must_start_with_user(self):
         with pytest.raises(ModelError):
@@ -198,7 +199,7 @@ class TestCorpusLevel:
                 assert normalize_entity(e) == e
 
     def test_smd_mean_utterances(self, smd_corpus):
-        total = sum(utterance_count(d) for d in smd_corpus.dialogs)
+        total = sum(len(d.turns) for d in smd_corpus.dialogs)
         assert len(smd_corpus.dialogs) == 304
         assert abs(total / 304 - 5.35) <= 0.01
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natvar.io import parse_corpus
-from natvar.model import mean_utterances, utterance_count
+from natvar.model import mean_utterances
 from natvar.planner import (
     PlanConfig,
     PlanError,
@@ -18,7 +18,6 @@ from natvar.planner import (
     plan,
     preset_config,
     render_review,
-    sample_review,
 )
 from natvar.recipes import (
     RECIPES,
@@ -32,6 +31,18 @@ from natvar.synthetic import make_babi_bytes, make_smd_bytes
 
 
 class TestPlan:
+    @pytest.mark.parametrize("fmt", ["babi", "smd"])
+    def test_cap_counts_the_patterns_a_dialog_carries(self, fmt, small_babi_corpus,
+                                                      small_smd_corpus):
+        corpus = small_babi_corpus if fmt == "babi" else small_smd_corpus
+        cfg = PlanConfig(targets={p: 10 for p in patterns_for_dataset(fmt)},
+                         max_patterns_per_dialog=3, allow_shortfall=True)
+        once = execute(corpus, plan(corpus, cfg))
+        again = plan(once, replace(cfg, seed=1))
+        assert again.assignments  # dialogs under the cap still take patterns
+        twice = execute(once, again)
+        assert max(len(d.applied_patterns) for d in twice.dialogs) == 3
+
     def test_zero_targets_give_empty_plan(self, small_smd_corpus):
         cfg = PlanConfig(targets={"open_request_screening": 0}, seed=1,
                          histogram_targets=None)
@@ -117,7 +128,9 @@ class TestPlan:
         corpus = request.getfixturevalue(f"small_{fmt}_corpus")
         cfg = preset_config(f"{fmt}-table1", seed=0, allow_shortfall=True)
         updated = execute(corpus, plan(corpus, cfg))
-        again = plan(updated, replace(cfg, seed=1))
+        # The cap counts carried patterns and the first plan fills it; lift it
+        # so that only eligibility decides.
+        again = plan(updated, replace(cfg, seed=1, max_patterns_per_dialog=len(RECIPES)))
         carried = {d.id: d.applied_patterns for d in updated.dialogs}
         assert again.assignments
         assert not any(a.pattern in carried[a.dialog_id] for a in again.assignments)
@@ -167,8 +180,8 @@ class TestExecute:
         pln = plan(small_smd_corpus, cfg)
         updated = execute(small_smd_corpus, pln)
         added = sum(len(RECIPES[a.pattern].template) for a in pln.assignments)
-        before = sum(utterance_count(d) for d in small_smd_corpus.dialogs)
-        after = sum(utterance_count(d) for d in updated.dialogs)
+        before = sum(len(d.turns) for d in small_smd_corpus.dialogs)
+        after = sum(len(d.turns) for d in updated.dialogs)
         assert after - before == added
 
     def test_input_not_mutated(self, small_smd_corpus):
@@ -318,31 +331,34 @@ class TestSampleReview:
                          histogram_targets=None)
         return execute(corpus, plan(corpus, cfg))
 
+    @staticmethod
+    def _reviewed_ids(text):
+        return [line.split()[1] for line in text.splitlines() if line.startswith("## ")]
+
     def test_fraction_one_takes_all(self, small_smd_corpus):
         updated = self._updated(small_smd_corpus)
-        sheet = sample_review(updated, 1.0, seed=0)
-        assert len(sheet.dialog_ids) == 6
+        assert len(self._reviewed_ids(render_review(updated, 1.0, seed=0))) == 6
 
     def test_half_up_rounding(self, small_smd_corpus):
         updated = self._updated(small_smd_corpus, n=5)
         # round(0.5 x 5) = 2.5 -> 3 under half-up
-        assert len(sample_review(updated, 0.5, seed=0).dialog_ids) == 3
+        assert len(self._reviewed_ids(render_review(updated, 0.5, seed=0))) == 3
 
     def test_same_seed_same_sheet(self, small_smd_corpus):
         updated = self._updated(small_smd_corpus)
-        assert sample_review(updated, 0.5, 9) == sample_review(updated, 0.5, 9)
+        assert render_review(updated, 0.5, 9) == render_review(updated, 0.5, 9)
 
     def test_no_updated_dialogs_rejected(self, small_smd_corpus):
         with pytest.raises(PlanError, match="no updated dialogs"):
-            sample_review(small_smd_corpus, 0.2, seed=1)
+            render_review(small_smd_corpus, 0.2, seed=1)
 
     def test_render_marks_injected_turns(self, small_smd_corpus):
         updated = self._updated(small_smd_corpus)
-        text = render_review(sample_review(updated, 1.0, seed=0), updated)
+        text = render_review(updated, 1.0, seed=0)
         assert "[+open_request_screening]" in text
 
     def test_sample_subset_of_updated(self, small_smd_corpus):
         updated = self._updated(small_smd_corpus)
-        sheet = sample_review(updated, 0.5, seed=4)
+        reviewed = self._reviewed_ids(render_review(updated, 0.5, seed=4))
         updated_ids = {d.id for d in updated.updated_dialogs()}
-        assert set(sheet.dialog_ids) <= updated_ids
+        assert set(reviewed) <= updated_ids

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 from natvar import smd
 from natvar.io import ParseError
-from natvar.io import save_corpus, serialize_corpus
+from natvar.io import corpus_chunks, save_corpus, serialize_corpus
 from natvar.model import DialogCorpus, build_global_entities, entities_in, normalize_entity
 from natvar.planner import PlanConfig, execute, plan
 from natvar.smd import parse_smd, smd_chunks, user_slots
@@ -263,7 +263,7 @@ class TestStreamedSave:
         assert (tmp_path / "c.json").read_bytes() == expected
 
     def test_pristine_corpus_is_one_chunk_of_its_source_bytes(self, smd_bytes, smd_corpus):
-        assert list(smd_chunks(smd_corpus)) == [smd_bytes]
+        assert list(corpus_chunks(smd_corpus)) == [smd_bytes]
 
     def test_save_holds_one_dialogue_at_a_time(self, smd_bytes, smd_corpus, tmp_path, traced):
         # A whole-document dump holds every dialogue object and every token of
