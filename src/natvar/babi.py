@@ -22,6 +22,7 @@ Both files are read line by line as `natvar.io.numbered_lines` splits them.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from collections.abc import Iterable, Iterator
@@ -83,29 +84,64 @@ def parse_babi(data: bytes, origin_sidecar: bytes | None = None) -> DialogCorpus
     ParseError. The file is decoded about 64 KiB of lines at a time and
     scanned one dialog block at a time (`_blocks`): neither its text nor a
     list of its lines is built, and a block's lines die once its `Dialog` is
-    made. Each `Turn` is built with its final origin.
+    made.
 
-    Task-5 dialogs come from fixed simulator templates, so most line bodies,
-    turns and KB tokens recur across dialogs. `functools.cache`s made in the
-    call remember them: `turn` builds one shared `Turn` per distinct set of
-    fields, `token` keeps one string per distinct KB fact token, and
-    `body_of` parses each distinct body (the text after a line's index) once,
-    through the other two. A fact already in canonical (lowercase) form is
-    its own KB entry, so such a fact is one tuple of shared strings. A cache
-    keeps no exception, so every error is raised again and named by its own
-    line, and each line's index is checked on its own. The caches die with
-    the call.
+    Task-5 dialogs come from fixed simulator templates, so most utterance
+    lines, turns and KB facts recur across dialogs. Tables made in the call
+    remember them: `pairs` parses each distinct utterance body (the text
+    after a line's index) once, `turn` builds one shared `Turn` per distinct
+    set of fields, `token` keeps one string per distinct KB fact token and
+    `shared` one tuple per distinct fact. A fact line is split each time it
+    comes, so the tables hold no fact text the corpus does not keep; a fact
+    already in canonical (lowercase) form is its own KB entry. The tables die
+    with the call.
     """
     lines = numbered_lines(data, "bAbI file")
     injected = _parse_sidecar(origin_sidecar) if origin_sidecar else {}
 
+    pairs: dict[str, tuple[Turn, Turn]] = {}
     turn = functools.cache(Turn)
     token = functools.cache(str)  # the first of equal strings
-    body_of = functools.cache(functools.partial(_line_body, turn, token))
+    shared: dict[tuple[str, str, str], tuple[str, str, str]] = {}  # the first of equal facts
     dialogs = []
     for idx, block in enumerate(_blocks(lines)):
+        turns: list[Turn] = []
+        facts: list[tuple[str, str, str]] = []
+        raws: list[tuple[str, str, str]] = []  # each fact as its line spells it
+        fact_lines: list[int] = []  # index of the utterance line each fact precedes
+        prev_index = 0
+        for lineno, line in block:
+            head, _, rest = line.partition(" ")
+            try:
+                index = int(head)
+            except ValueError:
+                raise ParseError(f"line {lineno}: expected a line index, got {head!r}")
+            if index <= prev_index:
+                raise ParseError(f"line {lineno}: non-monotone line index {index}")
+            prev_index = index
+
+            if "\t" in rest:
+                pair = pairs.get(rest)
+                if pair is None:
+                    user_text, _, agent_text = rest.partition("\t")
+                    if not user_text.strip() or not agent_text.strip():
+                        raise ParseError(f"line {lineno}: empty utterance")
+                    pair = pairs[rest] = turn(Speaker.USER, user_text), turn(Speaker.AGENT, agent_text)
+                turns += pair
+                continue
+            # Each fact component is one whitespace-free token, so lowercasing
+            # the line lowercases each token: `normalize_entity`.
+            lower = rest.lower()
+            fact = tuple(map(token, lower.split()))
+            if len(fact) != 3:
+                raise ParseError(f"line {lineno}: not an utterance line (no tab) "
+                                 f"and not a 3-token KB fact: {line!r}")
+            fact = shared.setdefault(fact, fact)
+            facts.append(fact)
+            raws.append(fact if lower == rest else tuple(map(token, rest.split())))
+            fact_lines.append(len(turns) // 2)
         dialog_id = f"babi-{idx}"
-        dialogs.append(_parse_block(block, dialog_id, injected.pop(dialog_id, {}), turn, body_of))
+        dialogs.append(_dialog(dialog_id, turn, turns, injected.pop(dialog_id, {}), facts, raws, fact_lines))
     if injected:
         raise ParseError(f"sidecar names a dialog the corpus does not have: {next(iter(injected))}")
 
@@ -126,79 +162,24 @@ def _blocks(lines: Iterator[tuple[int, str]]):
             yield block
 
 
-def _line_body(turn, token, rest: str) -> tuple:
-    """The body of a line: (original user turn, original agent turn) for an
-    utterance, (None, raw triple, lowercased triple) for a KB fact, the two
-    one tuple when they are equal. A ParseError here names no line."""
-    if "\t" in rest:
-        user_text, _, agent_text = rest.partition("\t")
-        if not user_text.strip() or not agent_text.strip():
-            raise ParseError("empty utterance")
-        return turn(Speaker.USER, user_text), turn(Speaker.AGENT, agent_text)
-    parts = rest.split()
-    if len(parts) != 3:
-        raise ParseError("not an utterance line (no tab) and not a 3-token KB fact")
-    # Each fact component is one whitespace-free token, so lowercasing it is
-    # `normalize_entity`.
-    raw = tuple(map(token, parts))
-    lower = tuple(token(p.lower()) for p in raw)
-    return None, raw, raw if lower == raw else lower
-
-
-def _parse_block(block, dialog_id: str, injected_turns: dict[int, str], turn, body_of) -> Dialog:
-    # utterance-line bodies, as `_line_body` gives them
-    pairs: list[tuple[Turn, Turn]] = []
-    # (raw triple, lowercased triple, index of the utterance line the fact precedes)
-    facts: list[tuple[tuple[str, str, str], tuple[str, str, str], int]] = []
-    prev_index = 0
-
-    for lineno, line in block:
-        head, _, rest = line.partition(" ")
-        try:
-            index = int(head)
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected a line index, got {head!r}")
-        if index <= prev_index:
-            raise ParseError(f"line {lineno}: non-monotone line index {index}")
-        prev_index = index
-
-        try:
-            body = body_of(rest)
-        except ParseError as e:  # a bad KB fact is quoted whole, index included
-            raise ParseError(f"line {lineno}: {e}" + ("" if "\t" in rest else f": {line!r}")) from None
-        if body[0] is None:
-            facts.append((body[1], body[2], len(pairs)))
-        else:
-            pairs.append(body)
-
-    for i in injected_turns:
-        if not 0 <= i < 2 * len(pairs):
-            raise ParseError(f"sidecar: turn {i} is out of range for {dialog_id} "
-                             f"({2 * len(pairs)} turns)")
-
-    turns: list[Turn] = []
-    # ordinals[k]: original agent turns before utterance line k. A fact is
-    # anchored by it, so injected agent turns do not shift the anchors.
-    ordinals = [0]
-    for k, (user_turn, agent_turn) in enumerate(pairs):
-        user_by = injected_turns.get(2 * k)
-        if user_by is not None:
-            user_turn = turn(Speaker.USER, user_turn.text, user_by)
-        turns.append(user_turn)
-        agent_by = injected_turns.get(2 * k + 1)
-        if agent_by is not None:
-            agent_turn = turn(Speaker.AGENT, agent_turn.text, agent_by)
-        turns.append(agent_turn)
-        ordinals.append(ordinals[-1] + (agent_by is None))
-
+def _dialog(dialog_id: str, turn, turns: list[Turn], marks: dict[int, str],
+            facts: list, raws: list, fact_lines: list[int]) -> Dialog:
+    """The dialog of one parsed block. `marks`, its sidecar entry, turn the
+    original turns they name into injected ones, built by `turn`."""
+    for i, pattern in marks.items():
+        if not 0 <= i < len(turns):
+            raise ParseError(f"sidecar: turn {i} is out of range for {dialog_id} ({len(turns)} turns)")
+        turns[i] = turn(turns[i].speaker, turns[i].text, pattern)
+    # A fact is anchored by the original agent turns before its utterance
+    # line, so injected agent turns do not shift the anchors.
+    injected_agents = sorted(i // 2 for i in marks if i % 2)
     return Dialog(
         id=dialog_id,
         domain="restaurant",
         turns=tuple(turns),
-        kb=KbRecord(entries=tuple(lower for _, lower, _ in facts)),
-        source_info=(tuple(ordinals[k] for _, _, k in facts),
-                     () if all(raw is lower for raw, lower, _ in facts)
-                     else tuple(raw for raw, _, _ in facts)),
+        kb=KbRecord(entries=tuple(facts)),
+        source_info=(tuple(k - bisect.bisect_left(injected_agents, k) for k in fact_lines),
+                     () if raws == facts else tuple(raws)),
     )
 
 

@@ -26,7 +26,7 @@ import re
 from collections.abc import Iterator
 
 from .catalog import check_pattern_name
-from .io import ParseError
+from .io import ParseError, decode_utf8
 from .model import (
     Dialog,
     DialogCorpus,
@@ -56,25 +56,26 @@ _COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode  #
 
 def parse_smd(data: bytes) -> DialogCorpus:
     """Parse an SMD JSON file into a corpus one dialogue object at a time, with no
-    tree of the whole file. On any error the file is parsed whole, which names it.
+    tree of the whole file. A bad UTF-8 byte is named as `decode_utf8` names it;
+    on any other error the file is parsed whole, which names the fault.
 
     KB subjects, attribute names and values recur across dialogues, so
     `entity`, a `functools.cache` made in the call, normalizes each distinct
     one once, and every KB that holds it shares the result.
     """
     entity = functools.cache(normalize_entity)
+    text, dialogs = decode_utf8(data, "SMD file"), []
     try:
-        text, dialogs = data.decode("utf-8"), []
         sep = _OPEN.match(text)
         while sep and not sep.group(1):
             el, end = _DECODE(text, sep.end())
             dialogs.append(_parse_dialogue(el, len(dialogs), entity))
             sep = _NEXT.match(text, end)
-    except (ValueError, RecursionError):  # ParseError and UnicodeDecodeError are ValueErrors
+    except (ValueError, RecursionError):  # a ParseError is a ValueError
         sep = None
     if not sep:  # an error, or not one JSON array: `json.loads` names the fault
         try:
-            doc = json.loads(data.decode("utf-8"))
+            doc = json.loads(text)
         except (ValueError, RecursionError) as e:
             raise ParseError(f"not valid SMD JSON: {e}") from e
         if not isinstance(doc, list):

@@ -12,7 +12,7 @@ from natvar.babi import (
 )
 from natvar import cli
 from natvar.io import load_corpus, serialize_corpus
-from natvar.model import Dialog, DialogCorpus, Speaker, Turn
+from natvar.model import Dialog, DialogCorpus, Speaker, Turn, normalize_entity
 from natvar.planner import PlanConfig, execute, plan
 from natvar.recipes import RECIPES, find_anchors, inject
 from natvar.synthetic import make_babi_bytes
@@ -216,25 +216,42 @@ class TestRoundTrip:
 
     def test_mixed_case_kb_fact_keeps_its_spelling_through_inject(self, capsys, tmp_path):
         # Task-5 files spell the attribute "R_phone"; the KB holds "r_phone",
-        # and an updated file writes each fact line as its source did.
-        source = make_babi_bytes(n_dialogs=40).replace(b" r_phone ", b" R_phone ")
-        src, out = tmp_path / "babi.txt", tmp_path / "updated.txt"
-        src.write_bytes(source)
-        assert cli.main(["inject", "--input", str(src), "--format", "babi", "--preset",
-                         "babi-table1", "--allow-shortfall", "--output", str(out)]) == 0
-        updated = load_corpus(out, "babi")
-        assert len(updated.updated_dialogs()) > 30
+        # and an updated file writes each fact line as its source did. The
+        # second spelling is non-ASCII upper case, ending two tokens in a
+        # final sigma.
+        def facts(block: str) -> list[str]:
+            return [line.split(" ", 1)[1] for line in block.split("\n") if line and "\t" not in line]
 
-        def facts(data: bytes) -> list[str]:
-            return sorted(line.split(" ", 1)[1] for line in data.decode().split("\n")
-                          if line and "\t" not in line)
+        for case, phone_fact in enumerate([rb"\1 \2 R_phone \3", r"\1 RESTO_ΑΣ R_Phone ΟΔΟΣ".encode()]):
+            source = re.sub(rb"(?m)^(\d+) (\S+) r_phone (\S+)$", phone_fact, make_babi_bytes(n_dialogs=40))
+            src, out = tmp_path / f"babi{case}.txt", tmp_path / f"updated{case}.txt"
+            src.write_bytes(source)
+            assert cli.main(["inject", "--input", str(src), "--format", "babi", "--preset",
+                             "babi-table1", "--allow-shortfall", "--output", str(out)]) == 0
+            updated = load_corpus(out, "babi")
+            assert len(updated.updated_dialogs()) > 30
+            assert sorted(facts(out.read_text("utf-8"))) == sorted(facts(source.decode()))
+            assert any(" R_" in f for f in facts(source.decode()))
+            assert [d.kb.entries for d in updated.dialogs] == [
+                tuple(tuple(map(normalize_entity, f.split())) for f in facts(block))
+                for block in source.decode().split("\n\n")]
+            assert any(attr == "r_phone" for d in updated.dialogs for _, attr, _ in d.kb.entries)
+            assert serialize_corpus(replace(updated, source_bytes=b"")) == out.read_bytes()
 
-        assert facts(out.read_bytes()) == facts(source)
-        assert any(" R_phone " in f for f in facts(source))
-        entries = {e for d in updated.dialogs for e in d.kb.entries}
-        assert all(x == x.lower() for e in entries for x in e)
-        assert any(attr == "r_phone" for _, attr, _ in entries)
-        assert serialize_corpus(replace(updated, source_bytes=b"")) == out.read_bytes()
+    def test_fact_after_an_injected_agent_turn_keeps_its_ordinal(self):
+        # A fact is anchored by the original agent turns before it; the
+        # injected pair on line 2 is not one, so the fact precedes original
+        # agent turn 1 and is written back where it was.
+        data = (b"1 hi\thello what can i help you with today\n"
+                b"2 can you hear me\tyes i can\n"
+                b"3 resto_1 R_phone resto_1_phone\n"
+                b"4 <silence>\twhat do you think of this option: resto_1\n")
+        sidecar = b"babi-0: 2=misunderstanding_report,3=misunderstanding_report\n"
+        corpus = parse_babi(data, sidecar)
+        assert corpus.dialogs[0].source_info == ((1,), (("resto_1", "R_phone", "resto_1_phone"),))
+        assert corpus.dialogs[0].kb.entries == (("resto_1", "r_phone", "resto_1_phone"),)
+        assert serialize_corpus(replace(corpus, source_bytes=b"")) == data
+        assert serialize_origin_sidecar(corpus) == sidecar
 
     def test_dialog_built_in_memory_serializes_without_kb_lines(self):
         turns = (Turn(Speaker.USER, "hi"), Turn(Speaker.AGENT, "hello"))

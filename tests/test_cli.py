@@ -263,6 +263,14 @@ def test_non_utf8_babi_corpus_is_a_parse_error(capsys, tmp_path):
     assert lines == ["error: bAbI file is not valid UTF-8 at byte 8"]
 
 
+def test_non_utf8_smd_corpus_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_bytes(b'[{"dialogue": [], "scenario": {"task": {"intent": "we\xffther"}}}]')
+    code, lines = _run(capsys, ["stats", "--input", path, "--format", "smd"])
+    assert code == 2
+    assert lines == ["error: SMD file is not valid UTF-8 at byte 53"]
+
+
 def test_deeply_nested_smd_corpus_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "corpus.json"
     path.write_bytes(b"[" * 100_000)

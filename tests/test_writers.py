@@ -118,14 +118,15 @@ def test_save_keeps_nothing_it_wrote_for_a_spliced_dialog(tmp_path, injected_bab
 
 
 def test_parse_holds_one_block_of_lines_at_a_time(babi_bytes, traced):
-    # Beyond what the corpus keeps, the parse holds its per-call caches, one
-    # block and one 64 KiB piece of decoded lines: 2.6 times the file's size
-    # on Python 3.11. The whole decoded text as well takes it to 3.6 (3.5-3.8
-    # on 3.10-3.13), and a list of every line with its number (the 1,000-dialog
-    # fixture has about 27,000) on top of that to 6.3-6.6 times.
+    # Beyond what the corpus keeps, the parse holds its per-call tables, one
+    # block and one 64 KiB piece of decoded lines: 0.98 times the file's size
+    # on Python 3.11. Caching every distinct line body, facts included (9,810
+    # of the fixture's 14,000 fact lines are distinct), takes it to 2.0.
+    # The whole decoded text adds 1.0 more, and a list of every line with its
+    # number (the fixture has about 27,000) 3.3 more.
     corpus, retained, peak = traced(lambda: parse_babi(babi_bytes))
     assert len(corpus.dialogs) == 1000
-    assert peak - retained < 3.2 * len(babi_bytes)
+    assert peak - retained < 1.3 * len(babi_bytes)
 
 
 def test_manifest_and_prediction_reads_hold_no_whole_file_text(injected_babi, traced):
@@ -142,14 +143,15 @@ def test_manifest_and_prediction_reads_hold_no_whole_file_text(injected_babi, tr
 
 
 def test_parse_keeps_each_kb_token_and_fact_once(babi_bytes, traced):
-    # The corpus keeps each distinct KB token as one string and each
-    # lowercase fact as one tuple, shared by the KB and serialization: 2.1-2.3
-    # times the file's size on Python 3.10-3.13. A raw copy of every fact
-    # beside its KB entry takes it to about 2.8 times and fresh token strings
-    # per fact to about 3.2 (Python 3.11); with both, 4.7-5.1 times.
+    # The corpus keeps each distinct KB token as one string and each distinct
+    # fact as one tuple, shared by the KBs and serialization: 1.83 times the
+    # file's size on Python 3.11. A fresh tuple per fact line takes it to 1.92,
+    # a raw copy of every fact beside its KB entry to 2.5 and fresh token
+    # strings per fact to 2.8; with the last two, 5.2 times.
     corpus, retained, _ = traced(lambda: parse_babi(babi_bytes))
     assert retained < 2.5 * len(babi_bytes)
     facts = [fact for d in corpus.dialogs for fact in d.kb.entries]
     assert len(facts) == 14000
     assert len({id(tok) for fact in facts for tok in fact}) == len({tok for fact in facts for tok in fact})
+    assert len({id(fact) for fact in facts}) == len(set(facts))
     assert all(d.source_info[1] == () for d in corpus.dialogs)
