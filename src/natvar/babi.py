@@ -221,13 +221,16 @@ def babi_chunks(corpus: DialogCorpus) -> Iterable[bytes]:
 
 
 def _encode_joined(parts: Iterable[str], sep: str) -> Iterator[bytes]:
-    """The UTF-8 bytes of `sep.join(parts) + "\\n"`, one part at a time."""
+    """The UTF-8 bytes of `sep.join(parts) + "\\n"`, one part at a time; no
+    bytes for no parts, so an empty file round-trips."""
     sep_bytes = sep.encode("utf-8")
+    i = -1
     for i, part in enumerate(parts):
         if i:
             yield sep_bytes
         yield part.encode("utf-8")
-    yield b"\n"
+    if i >= 0:
+        yield b"\n"
 
 
 @memo

@@ -249,7 +249,7 @@ def cmd_stats(args) -> int:
 def cmd_eval(args) -> int:
     from .io import load_corpus, sha256_hex
     from .manifest import check_corpus, parse_manifest, read_predictions
-    from .metrics import compare, evaluate, read_report, render_comparison
+    from .metrics import evaluate, read_report, render_comparison, render_report
 
     corpus = load_corpus(args.corpus, args.format)
     manifest_bytes = Path(args.manifest).read_bytes()
@@ -257,19 +257,18 @@ def cmd_eval(args) -> int:
     check_corpus(manifest, corpus)
     preds_bytes = Path(args.predictions).read_bytes()
     preds = read_predictions(preds_bytes, manifest)
-    checksums = tuple((name, sha256_hex(data)) for name, data in (
+    checksums = {name: sha256_hex(data) for name, data in (
         ("corpus", corpus.source_bytes), ("manifest", manifest_bytes),
-        ("predictions", preds_bytes)))
+        ("predictions", preds_bytes))}
     report = evaluate(preds, manifest, corpus, scope=args.entity_scope, checksums=checksums)
-    out_text = report.render()
+    out_text = render_report(report)
     if args.compare:
-        original = read_report(Path(args.compare).read_bytes())
-        out_text += "\n" + render_comparison(compare(original, report.to_dict()))
+        out_text += "\n" + render_comparison(read_report(Path(args.compare).read_bytes()), report)
     if args.output:
         Path(args.output + ".report.txt").write_text(out_text, encoding="utf-8")
         Path(args.output + ".report.json").write_text(
-            json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        _write_run(args.output, "eval", {"entity_scope": args.entity_scope}, dict(checksums),
+            json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        _write_run(args.output, "eval", {"entity_scope": args.entity_scope}, checksums,
                    None, [args.output + ".report.txt", args.output + ".report.json"])
     else:
         sys.stdout.write(out_text)

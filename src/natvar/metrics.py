@@ -15,6 +15,11 @@ match count at any order gives BLEU 0. Entity F1 is
 micro-averaged against a KB-derived entity lexicon. A response is correct
 when it tokenizes as its gold after lowercasing. Corpus dialogs with no
 manifest entry have no row; per-dialog accuracy counts them as correct.
+
+A report is the JSON object `eval --output` writes, a plain dict both from
+`evaluate` and from `read_report`; `render_report` and `render_comparison`
+turn reports into text. `_METRICS` is the one list of measures they all
+read: a new measure is one more name there and one more value of `finalize`.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 from . import NatvarError
@@ -36,38 +40,9 @@ class MetricError(NatvarError):
     """Misaligned predictions or unusable metric inputs."""
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    bleu: float                # percentage in [0, 100]
-    entity_f1: float           # ratio in [0, 1]
-    per_response_acc: float
-    per_dialog_acc: float
-    n_responses: int
-    n_dialogs: int
-    corpus_tag: str = ""
-    checksums: tuple[tuple[str, str], ...] = ()
-    notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return dict(asdict(self), checksums=dict(self.checksums), notes=list(self.notes))
-
-    def render(self) -> str:
-        lines = [
-            f"corpus_tag: {self.corpus_tag}",
-            f"n_responses: {self.n_responses}",
-            f"n_dialogs: {self.n_dialogs}",
-            f"bleu: {self.bleu:.4f}",
-            f"entity_f1: {self.entity_f1:.4f}",
-            f"entity_f1_x100: {self.entity_f1 * 100:.2f}",
-            f"per_response_acc: {self.per_response_acc:.4f}",
-            f"per_dialog_acc: {self.per_dialog_acc:.4f}",
-        ]
-        for key, value in self.checksums:
-            lines.append(f"checksum.{key}: {value}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines) + "\n"
-
+#: The measures of a report, in the order `finalize` returns them. BLEU is a
+#: percentage in [0, 100]; every other measure is a ratio in [0, 1].
+_METRICS = ("bleu", "entity_f1", "per_response_acc", "per_dialog_acc")
 
 #: Fields of an entry or a per-dialog stats row, in order.
 ROW = ("match1", "match2", "match3", "match4", "total1", "total2", "total3", "total4",
@@ -191,36 +166,27 @@ def response_accuracy(preds: PredictionSet, manifest: EvalManifest,
 
 
 def evaluate(preds: PredictionSet, manifest: EvalManifest, corpus: DialogCorpus,
-             scope: str = "global", checksums: tuple[tuple[str, str], ...] = ()) -> EvalReport:
-    return EvalReport(
-        *finalize(_entity_stats(preds, manifest, corpus, scope), len(corpus.dialogs)),
-        n_responses=len(manifest.entries),
-        n_dialogs=len(corpus.dialogs),
-        corpus_tag=manifest.corpus_tag,
-        checksums=checksums,
-        notes=(f"bleu=corpus/1-4/uniform/no-smoothing; entity_scope={scope}",),
-    )
+             scope: str = "global", checksums: dict[str, str] | None = None) -> dict:
+    """The report: each of `_METRICS`, the counts, the corpus tag, the
+    input checksums and a note on how BLEU and entities are scored."""
+    n_dialogs = len(corpus.dialogs)
+    return dict(zip(_METRICS, finalize(_entity_stats(preds, manifest, corpus, scope), n_dialogs)),
+                n_responses=len(manifest.entries), n_dialogs=n_dialogs,
+                corpus_tag=manifest.corpus_tag, checksums=dict(checksums or {}),
+                notes=[f"bleu=corpus/1-4/uniform/no-smoothing; entity_scope={scope}"])
 
 
-@dataclass(frozen=True)
-class MetricDelta:
-    metric: str
-    original: float
-    updated: float
-
-    @property
-    def absolute(self) -> float:
-        return self.updated - self.original
-
-    @property
-    def relative_drop_pct(self) -> float:
-        """Drop relative to the original value, as a percentage."""
-        if self.original == 0:
-            return 0.0
-        return (self.original - self.updated) / self.original * 100.0
-
-
-_METRICS = ("bleu", "entity_f1", "per_response_acc", "per_dialog_acc")
+def render_report(report: dict) -> str:
+    """The `.report.txt` text of `report`; entity F1 also as a percentage."""
+    lines = [f"corpus_tag: {report['corpus_tag']}", f"n_responses: {report['n_responses']}",
+             f"n_dialogs: {report['n_dialogs']}"]
+    for key in _METRICS:
+        lines.append(f"{key}: {report[key]:.4f}")
+        if key == "entity_f1":
+            lines.append(f"entity_f1_x100: {report[key] * 100:.2f}")
+    lines += [f"checksum.{key}: {value}" for key, value in report["checksums"].items()]
+    lines += [f"note: {note}" for note in report["notes"]]
+    return "\n".join(lines) + "\n"
 
 
 def read_report(data: bytes) -> dict:
@@ -240,19 +206,21 @@ def read_report(data: bytes) -> dict:
     return report
 
 
-def compare(original: dict, updated: dict) -> list[MetricDelta]:
-    """Side-by-side deltas for the metric fields both reports carry."""
-    return [MetricDelta(key, float(original[key]), float(updated[key])) for key in _METRICS
-            if original.get(key) is not None and updated.get(key) is not None]
+def relative_drop_pct(original: float, updated: float) -> float:
+    """Drop from `original` to `updated` as a percentage of `original`; 0 when it is 0."""
+    return (original - updated) / original * 100.0 if original else 0.0
 
 
-def render_comparison(deltas: list[MetricDelta]) -> str:
+def render_comparison(original: dict, updated: dict) -> str:
+    """Side by side, the measures both reports carry. A ratio shows as a
+    percentage when neither side exceeds 1 in magnitude."""
     header = f"{'metric':<20}{'original':>12}{'updated':>12}{'delta':>12}{'rel drop':>12}"
     lines = [header, "-" * len(header)]
-    for d in deltas:
-        scale = 100.0 if d.metric in ("entity_f1", "per_response_acc", "per_dialog_acc") and max(abs(d.original), abs(d.updated)) <= 1.0 else 1.0
-        lines.append(
-            f"{d.metric:<20}{d.original * scale:>12.2f}{d.updated * scale:>12.2f}"
-            f"{d.absolute * scale:>12.2f}{d.relative_drop_pct:>11.1f}%"
-        )
+    for key in _METRICS:
+        if original.get(key) is None or updated.get(key) is None:
+            continue
+        old, new = float(original[key]), float(updated[key])
+        scale = 100.0 if key != "bleu" and max(abs(old), abs(new)) <= 1.0 else 1.0
+        lines.append(f"{key:<20}{old * scale:>12.2f}{new * scale:>12.2f}"
+                     f"{(new - old) * scale:>12.2f}{relative_drop_pct(old, new):>11.1f}%")
     return "\n".join(lines) + "\n"

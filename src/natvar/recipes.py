@@ -147,14 +147,16 @@ def _distractor(kb: KbRecord, domain: str, attribute: str, value: str,
     return candidates[rng.randrange(len(candidates))]
 
 
+def _swap_at(text: str, start: int, end: int, replacement: str) -> str:
+    """`text` with its tokens `start:end` replaced by `replacement`."""
+    toks = text.split()
+    return " ".join(toks[:start] + [entity_display(replacement)] + toks[end:])
+
+
 def _swap_span(text: str, canonical: str, replacement: str) -> str | None:
     """`text` with the first token span matching `canonical` replaced."""
     spans = entity_spans(text, {canonical})
-    if not spans:
-        return None
-    start, end, _ = spans[0]
-    toks = text.split()
-    return " ".join(toks[:start] + [entity_display(replacement)] + toks[end:])
+    return _swap_at(text, *spans[0][:2], replacement) if spans else None
 
 
 # --- anchor heuristics ---------------------------------------------------
@@ -189,10 +191,9 @@ def _anchors_user_detail(d: Dialog, new_rng) -> Iterator[Anchor]:
         values = d.kb.values_for(f"r_{slot}")
         if len(values) < 2:
             # The per-dialog KB rarely lists alternatives (candidates match
-            # the query); the simulator's fixed vocabulary is the option set.
-            values = list(BABI_SLOT_VALUES.get(slot, ()))
-        if len(values) < 2:
-            continue
+            # the query); the simulator's fixed vocabulary, at least three
+            # values for every slot a question asks, is the option set.
+            values = BABI_SLOT_VALUES[slot]
         options = ", ".join(entity_display(v) for v in values)
         yield Anchor(i, (("options", options),))
 
@@ -225,12 +226,11 @@ def _anchors_misunderstanding(d: Dialog, new_rng) -> Iterator[Anchor]:
     for i, t in enumerate(d.turns):
         if t.speaker is not Speaker.AGENT or not t.is_original:
             continue
-        for _, _, ent in entity_spans(t.text, lexicon):
+        for start, end, ent in entity_spans(t.text, lexicon):
             distrs = (_distractor(d.kb, d.domain, attr, ent, rng) for attr in d.kb.attributes_of(ent))
             distr = next((x for x in distrs if x is not None), None)
-            corrupted = distr is not None and _swap_span(t.text, ent, distr)
-            if corrupted:
-                yield Anchor(i, (("corrupted_answer", corrupted),
+            if distr is not None:
+                yield Anchor(i, (("corrupted_answer", _swap_at(t.text, start, end, distr)),
                                  ("prior_request", d.turns[i - 1].text)))
                 break
 

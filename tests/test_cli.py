@@ -3,6 +3,7 @@ stderr and the code the module docstring assigns, never a traceback."""
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -253,6 +254,18 @@ def test_babi_inject_to_stdout_is_a_usage_error(capsys, tmp_path):
     assert lines[0].startswith("usage error: inject --format babi needs --output")
     assert capsys.readouterr().out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt"]
+
+
+def test_empty_babi_file_round_trips(capsys, tmp_path):
+    # An empty file is a corpus of no dialogs; written back, it is empty again.
+    path, out = tmp_path / "corpus.txt", tmp_path / "updated.txt"
+    path.write_bytes(b"")
+    code, _ = _run(capsys, ["inject", "--input", path, "--format", "babi", "--preset",
+                            "babi-table1", "--allow-shortfall", "--output", out])
+    assert code == 0
+    assert out.read_bytes() == b""
+    assert cli.main(["stats", "--input", str(out), "--format", "babi"]) == 0
+    assert f"checksum: sha256:{hashlib.sha256(b'').hexdigest()}\n" in capsys.readouterr().out
 
 
 def test_non_utf8_babi_corpus_is_a_parse_error(capsys, tmp_path):
@@ -557,7 +570,7 @@ def fuzz_seeds():
             "predictions": golds,
             "candidates": "".join(f"{i} {e.gold_text}\n"
                                   for i, e in enumerate(manifest.entries, 1)).encode(),
-            "compare": json.dumps(evaluate(preds, manifest, updated).to_dict()).encode(),
+            "compare": json.dumps(evaluate(preds, manifest, updated)).encode(),
             "config": b'{"targets": {"open_request_screening": 1}, "seed": 3, '
                       b'"max_patterns_per_dialog": 2, "histogram_targets": [1, 0]}',
         }

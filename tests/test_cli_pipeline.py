@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from natvar import cli
-from natvar.metrics import compare, render_comparison
+from natvar.metrics import render_comparison
 from natvar.planner import PRESETS
 from natvar.synthetic import make_babi_bytes, make_smd_bytes
 
@@ -109,7 +109,7 @@ def test_round_trip(capsys, tmp_path, fmt):
     first, second = (json.loads((tmp_path / f"{n}.report.json").read_text(encoding="utf-8"))
                      for n in ("first", "second"))
     text = (tmp_path / "second.report.txt").read_text(encoding="utf-8")
-    assert text.endswith("\n\n" + render_comparison(compare(first, second)))
+    assert text.endswith("\n\n" + render_comparison(first, second))
 
     ablated = f"ablate/{pattern}.{ext}"
     assert _step(tmp_path, ["ablate", *plan_args, "--pattern", pattern,

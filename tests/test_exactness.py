@@ -279,7 +279,8 @@ def _assert_same_as_separate_walks(corpus, manifest, preds, scope, n_dialogs):
         assert response_accuracy(ps, manifest, n) == reference_response_accuracy(
             preds, manifest, n)
     report = evaluate(ps, manifest, corpus, scope)
-    assert (report.bleu, report.entity_f1, report.per_response_acc, report.per_dialog_acc) \
+    assert (report["bleu"], report["entity_f1"],
+            report["per_response_acc"], report["per_dialog_acc"]) \
         == (bleu, f1, *reference_response_accuracy(preds, manifest, len(corpus.dialogs)))
 
 

@@ -62,7 +62,7 @@ def test_smd_baseline_predictions(smd_run):
 def test_smd_report(smd_run, scope):
     updated, manifest, preds = smd_run
     report = evaluate(preds, manifest, updated, scope=scope)
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert _digest(text.encode("utf-8")) == SMD_REPORTS[scope]
 
 
@@ -111,3 +111,27 @@ def test_review_of_a_pristine_corpus_is_a_plan_error(capsys, preset_run):
     fmt, source, _ = preset_run
     assert main(["review", "--input", str(source), "--format", fmt, *REVIEW_ARGS]) == 1
     assert capsys.readouterr() == ("", "error: no updated dialogs to review\n")
+
+
+# `eval --compare` of the seed-0 `inject` output of each preset: the original
+# report scores the gold responses; the updated run swaps every second
+# prediction for the gold before it and scores entities per dialog.
+COMPARE_REPORTS = {
+    "babi": "050bab17d5e60b6fb93a3205c31aacd87bf7afbd792dfc3447383b6990125a16",
+    "smd": "b385a899b86f132c4b0596cdf1a94ebfc32604a55a76e250e1c52259357af2f0",
+}
+
+
+def test_eval_compare_output(capsys, preset_run, tmp_path):
+    fmt, _, updated = preset_run
+    manifest = updated.with_name(f"{updated.name}.manifest.tsv")
+    golds = [line.split("\t")[2] for line in manifest.read_text(encoding="utf-8").split("\n")
+             if line and not line.startswith("#")]
+    gold, worse = tmp_path / "gold.txt", tmp_path / "worse.txt"
+    gold.write_text("".join(f"{g}\n" for g in golds), encoding="utf-8")
+    worse.write_text("".join(f"{golds[i - i % 2]}\n" for i in range(len(golds))), encoding="utf-8")
+    eval_args = ["eval", "--manifest", str(manifest), "--corpus", str(updated), "--format", fmt]
+    assert main([*eval_args, "--predictions", str(gold), "--output", str(tmp_path / "gold")]) == 0
+    assert main([*eval_args, "--predictions", str(worse), "--entity-scope", "dialog",
+                 "--compare", str(tmp_path / "gold.report.json")]) == 0
+    assert _digest(capsys.readouterr().out.encode("utf-8")) == COMPARE_REPORTS[fmt]

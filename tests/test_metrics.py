@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from natvar.manifest import EvalManifest, ManifestEntry, PredictionSet
 from natvar.metrics import (
     MetricError,
-    compare,
     corpus_bleu,
     entity_f1,
+    relative_drop_pct,
     render_comparison,
     response_accuracy,
 )
@@ -278,23 +278,25 @@ class TestResponseAccuracy:
 
 class TestCompare:
     def test_published_entity_f1_drop(self):
-        deltas = compare({"bleu": 14.22, "entity_f1": 55.38},
-                         {"bleu": 4.73, "entity_f1": 21.05})
-        by_name = {d.metric: d for d in deltas}
-        assert by_name["entity_f1"].relative_drop_pct == pytest.approx(62.0, abs=0.05)
+        assert relative_drop_pct(55.38, 21.05) == pytest.approx(62.0, abs=0.05)
 
     def test_identical_reports_zero_deltas(self):
-        deltas = compare({"bleu": 10.0, "entity_f1": 0.5},
-                         {"bleu": 10.0, "entity_f1": 0.5})
-        assert all(d.absolute == 0 and d.relative_drop_pct == 0 for d in deltas)
+        report = {"bleu": 10.0, "entity_f1": 0.5}
+        rows = render_comparison(report, dict(report)).splitlines()[2:]
+        assert [row.split()[1:] for row in rows] == [
+            ["10.00", "10.00", "0.00", "0.0%"], ["50.00", "50.00", "0.00", "0.0%"]]
+        assert relative_drop_pct(0.0, 0.0) == 0
 
     def test_per_dialog_drop(self):
-        deltas = compare({"per_dialog_acc": 88.5}, {"per_dialog_acc": 12.7})
-        assert deltas[0].relative_drop_pct == pytest.approx(85.65, abs=0.01)
+        assert relative_drop_pct(88.5, 12.7) == pytest.approx(85.65, abs=0.01)
 
     def test_render_contains_all_metrics(self):
-        text = render_comparison(compare(
-            {"bleu": 14.22, "entity_f1": 0.5538},
-            {"bleu": 4.73, "entity_f1": 0.2105},
-        ))
+        text = render_comparison({"bleu": 14.22, "entity_f1": 0.5538},
+                                 {"bleu": 4.73, "entity_f1": 0.2105})
         assert "bleu" in text and "entity_f1" in text and "%" in text
+
+    def test_render_skips_a_measure_either_side_lacks(self):
+        text = render_comparison({"bleu": 14.22, "entity_f1": None, "per_dialog_acc": 88.5},
+                                 {"bleu": 4.73, "entity_f1": 0.2105, "per_dialog_acc": 12.7})
+        assert [row.split()[0] for row in text.splitlines()[2:]] == ["bleu", "per_dialog_acc"]
+        assert text.splitlines()[-1].split()[-1] == "85.6%"

@@ -56,6 +56,18 @@ class TestFindAnchors:
         assert bound["prior_request"] == "yes please"
         assert bound["corrupted_answer"] != "chevron is at 783 arcadia pl"
 
+    def test_misunderstanding_corrupts_the_span_it_scanned(self):
+        # "b" also ends the longer entity "a_b", which has no distractor, so
+        # the corruption goes at the later standalone "b".
+        d = Dialog(
+            id="smd-2", domain="schedule",
+            turns=(Turn(Speaker.USER, "when?"), Turn(Speaker.AGENT, "a b then b")),
+            kb=KbRecord(entries=(("x", "type", "b"), ("y", "type", "q"), ("x", "day", "a_b"))),
+        )
+        anchors = find_anchors(RECIPES["misunderstanding_report"], d)
+        assert [(a.turn_index, dict(a.bound)["corrupted_answer"]) for a in anchors] == [
+            (1, "a b then q")]
+
     def test_other_correction_distractor_differs(self):
         babi = parse_babi(
             b"1 hi\thello what can i help you with today\n"

@@ -70,7 +70,7 @@ def test_stats_checksum_is_the_hash_of_the_file_bytes(corpus):
 
 
 def test_stats_checksum_of_an_empty_corpus():
-    for fmt, text in (("babi", b"\n"), ("smd", b"[]\n")):
+    for fmt, text in (("babi", b""), ("smd", b"[]\n")):
         empty = DialogCorpus(dialogs=(), source_format=fmt)
         assert _checksum(corpus_stats(empty)) == hashlib.sha256(text).hexdigest()
 
