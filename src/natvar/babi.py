@@ -27,7 +27,7 @@ import functools
 import itertools
 from collections.abc import Iterable, Iterator
 
-from .catalog import check_pattern_name
+from .catalog import check_pattern
 from .io import ParseError, numbered_lines
 from .model import (
     Dialog,
@@ -306,7 +306,7 @@ def _parse_sidecar_item(item: str, lineno: int) -> tuple[int, str]:
     pos, sep, pattern = item.partition("=")
     if not sep:
         raise ParseError(f"sidecar line {lineno}: expected index=pattern, got {item!r}")
-    check_pattern_name(pattern, f"sidecar line {lineno}")
+    check_pattern(pattern, "babi", ParseError, f"sidecar line {lineno}")
     try:
         return int(pos), pattern
     except ValueError:

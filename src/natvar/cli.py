@@ -103,12 +103,9 @@ def _resolve_config(args, fmt: str):
     from .planner import PlanError, config_from_dict, preset_config
 
     if args.preset:
-        cfg = preset_config(args.preset, seed=args.seed or 0,
-                            allow_shortfall=args.allow_shortfall)
-        expected = "smd" if args.preset.startswith("smd") else "babi"
-        if expected != fmt:
+        if not args.preset.startswith(fmt):
             raise UsageError(f"preset {args.preset} does not match --format {fmt}")
-        return cfg
+        return preset_config(args.preset, seed=args.seed or 0, allow_shortfall=args.allow_shortfall)
     try:
         with open(args.config, "r", encoding="utf-8") as f:
             d = json.load(f)
@@ -121,8 +118,8 @@ def _resolve_config(args, fmt: str):
     d["allow_shortfall"] = args.allow_shortfall or d.get("allow_shortfall", False)
     try:
         return config_from_dict(d)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
-        raise PlanError(f"invalid config {args.config}: {type(e).__name__}: {e}") from e
+    except PlanError as e:
+        raise PlanError(f"invalid config {args.config}: {e}") from e
 
 
 def _plan_dump(pln) -> bytes:
@@ -131,7 +128,7 @@ def _plan_dump(pln) -> bytes:
 
 
 def _inject_diagnostics(pln, updated, cfg) -> list[str]:
-    from .planner import overlap_histogram, shortfall_text
+    from .planner import overlap_histogram
 
     notes = []
     counts: dict[str, int] = {}
@@ -144,9 +141,7 @@ def _inject_diagnostics(pln, updated, cfg) -> list[str]:
         notes.append(f"overlap bucket targets: {list(cfg.histogram_targets)}")
     if pln.histogram_note:
         notes.append(pln.histogram_note)
-    for shortfall in pln.shortfalls:
-        notes.append(f"shortfall recorded: {shortfall_text(shortfall)}")
-    return notes
+    return notes + [f"shortfall recorded: {text}" for text in pln.shortfalls]
 
 
 def _write_run(base, subcommand: str, config: dict, inputs: dict, seed: int | None,
@@ -209,7 +204,7 @@ def cmd_inject(args) -> int:
 def cmd_ablate(args) -> int:
     from .io import load_corpus, sha256_hex
     from .model import mean_utterances
-    from .planner import PlanError, ablate, check_patterns
+    from .planner import PlanError, ablation_plan, check_patterns, execute
     from .recipes import patterns_for_dataset
 
     corpus = load_corpus(args.input, args.format)
@@ -221,12 +216,13 @@ def cmd_ablate(args) -> int:
             raise PlanError("ablate --all: no pattern has a target above 0")
     else:
         names = [args.pattern]
+    plans = [(name, ablation_plan(corpus, cfg, name)) for name in names]  # all before any output
     outdir = Path(args.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     ext = "txt" if args.format == "babi" else "json"
     inputs = {args.input: sha256_hex(corpus.source_bytes)}
-    for name in names:
-        updated = ablate(corpus, cfg, name)  # checks the name before any output
-        outdir.mkdir(parents=True, exist_ok=True)
+    for name, pln in plans:
+        updated = execute(corpus, pln)
         out = outdir / f"{name}.{ext}"
         written = _save_with_manifest(updated, out)
         print(f"{name}: mean utterances/dialog = {mean_utterances(updated):.2f}", file=sys.stderr)
@@ -319,7 +315,7 @@ def cmd_patterns(args) -> int:
 
     rows = [f"{'code':<8}{'class':<7}{'recipe':<8}name"]
     for e in CATALOG:
-        rows.append(f"{e.code:<8}{e.klass:<7}{'yes' if e.has_recipe else '-':<8}{e.name}")
+        rows.append(f"{e.code:<8}{e.klass:<7}{'yes' if e.formats else '-':<8}{e.name}")
     sys.stdout.write("\n".join(rows) + "\n")
     return 0
 

@@ -190,8 +190,8 @@ def render_report(report: dict) -> str:
 
 
 def read_report(data: bytes) -> dict:
-    """A report JSON as `eval --output` writes it; its metric fields are
-    finite numbers or null."""
+    """A report JSON as `eval --output` writes it; each of its `_METRICS` is
+    null or a number in that measure's range."""
     text = decode_utf8(data, "report")
     try:
         report = json.loads(text)
@@ -201,8 +201,9 @@ def read_report(data: bytes) -> dict:
         raise ParseError("report is not a JSON object")
     for key in _METRICS:
         value = report.get(key)
-        if value is not None and (type(value) not in (int, float) or not abs(value) <= sys.float_info.max):
-            raise ParseError(f"report field {key!r} is not a finite number")
+        top = 100 if key == "bleu" else 1
+        if value is not None and (type(value) not in (int, float) or not 0 <= value <= top):
+            raise ParseError(f"report field {key!r} is not a number in [0, {top}]")
     return report
 
 
@@ -212,15 +213,14 @@ def relative_drop_pct(original: float, updated: float) -> float:
 
 
 def render_comparison(original: dict, updated: dict) -> str:
-    """Side by side, the measures both reports carry. A ratio shows as a
-    percentage when neither side exceeds 1 in magnitude."""
+    """Side by side, the measures both reports carry; a ratio shows as a percentage."""
     header = f"{'metric':<20}{'original':>12}{'updated':>12}{'delta':>12}{'rel drop':>12}"
     lines = [header, "-" * len(header)]
     for key in _METRICS:
         if original.get(key) is None or updated.get(key) is None:
             continue
         old, new = float(original[key]), float(updated[key])
-        scale = 100.0 if key != "bleu" and max(abs(old), abs(new)) <= 1.0 else 1.0
+        scale = 1.0 if key == "bleu" else 100.0
         lines.append(f"{key:<20}{old * scale:>12.2f}{new * scale:>12.2f}"
                      f"{(new - old) * scale:>12.2f}{relative_drop_pct(old, new):>11.1f}%")
     return "\n".join(lines) + "\n"

@@ -22,6 +22,7 @@ import random
 from dataclasses import asdict, dataclass, fields, replace
 
 from . import NatvarError
+from .catalog import check_pattern
 from .model import Dialog, DialogCorpus, content_digest
 from .recipes import (
     RECIPES,
@@ -47,30 +48,15 @@ class PlanMismatchError(PlanError):
 
 
 class ShortfallError(PlanError):
-    """Too few candidate dialogs for one or more patterns' targets.
-
-    Each shortfall is (pattern, target, eligible dialogs) when eligibility
-    fell short, or (pattern, target, eligible dialogs under the cap, cap)
-    when the per-dialog cap did.
-    """
+    """Too few candidate dialogs for one or more patterns' targets, by
+    `cause` ("eligibility" or "per-dialog cap"); `texts` states each gap
+    as the run notes of an allowed shortfall do."""
 
     exit_code = 3
     label = "plan shortfall"
 
-    def __init__(self, shortfalls: list[tuple]):
-        self.shortfalls = shortfalls
-        cause = "per-dialog cap" if len(shortfalls[0]) == 4 else "eligibility"
-        lines = ", ".join(map(shortfall_text, shortfalls))
-        super().__init__(f"{cause} shortfall ({lines})")
-
-
-def shortfall_text(shortfall: tuple) -> str:
-    """One shortfall as `ShortfallError` and the run notes name it."""
-    name, target, available, *cap = shortfall
-    if cap:
-        return (f"{name}: {available} eligible dialogs under the per-dialog cap of {cap[0]} "
-                f"< target {target}")
-    return f"{name}: eligible {available} < target {target}"
+    def __init__(self, cause: str, texts: list[str]):
+        super().__init__(f"{cause} shortfall ({', '.join(texts)})")
 
 
 @dataclass(frozen=True)
@@ -138,6 +124,8 @@ def config_from_dict(d: dict) -> PlanConfig:
     unknown = sorted(set(d) - {f.name for f in fields(PlanConfig)})
     if unknown:
         raise PlanError(f"unknown config key {unknown[0]!r}")
+    if not isinstance(d.get("targets"), dict):
+        raise PlanError("targets must be an object of pattern names to dialog counts")
     allow_shortfall = d.get("allow_shortfall", False)
     if not isinstance(allow_shortfall, bool):
         raise PlanError(f"allow_shortfall must be true or false, got {allow_shortfall!r}")
@@ -170,8 +158,8 @@ class InjectionPlan:
     assignments: tuple[Assignment, ...]
     corpus_digest: str
     seed: int
-    # The recorded shortfalls, as `ShortfallError` holds them.
-    shortfalls: tuple[tuple, ...] = ()
+    # The recorded shortfalls, each stated as `ShortfallError` states it.
+    shortfalls: tuple[str, ...] = ()
     histogram_note: str = ""
 
 
@@ -223,13 +211,10 @@ def adjust_histogram(targets: tuple[int, ...], total: int, n_dialogs: int,
     return tuple(h)
 
 
-def check_patterns(names, dataset: str) -> None:
-    """Raise PlanError at the first name that is not a recipe pattern for `dataset`."""
+def check_patterns(names, fmt: str) -> None:
+    """Raise PlanError at the first name that is not a recipe pattern for `fmt`."""
     for name in names:
-        if name not in RECIPES:
-            raise PlanError(f"unknown pattern {name!r}")
-        if dataset not in RECIPES[name].datasets:
-            raise PlanError(f"pattern not applicable to {dataset}: {name}")
+        check_pattern(name, fmt, PlanError)
 
 
 def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
@@ -255,12 +240,12 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
     }
 
     shortfalls = [
-        (p, cfg.targets[p], len(eligible[p]))
+        f"{p}: eligible {len(eligible[p])} < target {cfg.targets[p]}"
         for p in order
         if len(eligible[p]) < cfg.targets[p]
     ]
     if shortfalls and not cfg.allow_shortfall:
-        raise ShortfallError(shortfalls)
+        raise ShortfallError("eligibility", shortfalls)
     targets = {
         p: min(cfg.targets[p], len(eligible[p])) for p in order
     }
@@ -292,9 +277,11 @@ def plan(corpus: DialogCorpus, cfg: PlanConfig) -> InjectionPlan:
         # patterns a dialog carries, those of its input included.
         cands = [did for did in eligible[p] if len(carried.get(did, ())) + count[did] < cap]
         if len(cands) < need:
+            text = (f"{p}: {len(cands)} eligible dialogs under the per-dialog cap of {cap} "
+                    f"< target {need}")
             if not cfg.allow_shortfall:
-                raise ShortfallError([(p, need, len(cands), cap)])
-            shortfalls.append((p, need, len(cands), cap))
+                raise ShortfallError("per-dialog cap", [text])
+            shortfalls.append(text)
             need = len(cands)
         if hist is None:
             chosen = rng.sample(cands, need)
@@ -391,13 +378,18 @@ def execute(corpus: DialogCorpus, pln: InjectionPlan) -> DialogCorpus:
     )
 
 
-def ablate(corpus: DialogCorpus, cfg: PlanConfig, pattern: str) -> DialogCorpus:
-    """Updated corpus with only `pattern` injected, at its full target."""
+def ablation_plan(corpus: DialogCorpus, cfg: PlanConfig, pattern: str) -> InjectionPlan:
+    """The plan that injects only `pattern`, at its full target."""
     check_patterns([pattern, *cfg.targets], corpus.source_format)
     if cfg.targets.get(pattern, 0) <= 0:
         raise PlanError(f"no target configured for {pattern}")
-    solo = replace(cfg, targets={pattern: cfg.targets[pattern]}, histogram_targets=None)
-    return execute(corpus, plan(corpus, solo))
+    return plan(corpus, replace(cfg, targets={pattern: cfg.targets[pattern]},
+                                histogram_targets=None))
+
+
+def ablate(corpus: DialogCorpus, cfg: PlanConfig, pattern: str) -> DialogCorpus:
+    """Updated corpus with only `pattern` injected, at its full target."""
+    return execute(corpus, ablation_plan(corpus, cfg, pattern))
 
 
 def overlap_histogram(corpus: DialogCorpus) -> dict[int, int]:

@@ -24,11 +24,12 @@ no draw decides whether an anchor exists, only what it binds: a fresh call
 yields the same anchors.
 
 `RECIPES` is the one registry of recipe patterns: a row declares the
-pattern's name, template, datasets and anchor finder, and whether the block
-goes after the anchor turn; the Table-row order of its rows is the order of
-assignment priority. To add a pattern, add one `RECIPES` row with its
-finder, one phrase-bank entry (`data/phrase_bank.json`) and
-`has_recipe=True` on its `catalog.CATALOG` entry.
+pattern's name, template and anchor finder, and whether the block goes
+after the anchor turn; the Table-row order of its rows is the order of
+assignment priority. The corpus formats a recipe applies to are its
+`catalog.CATALOG` entry's `formats`. To add a pattern, add one `RECIPES`
+row with its finder, one phrase-bank entry (`data/phrase_bank.json`) and
+its formats on its catalog entry.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from functools import partial
 
 from . import NatvarError
 from .babi import BABI_SLOT_VALUES, slot_for_question
+from .catalog import RECIPE_FORMATS
 from .model import (
     Dialog,
     KbRecord,
@@ -65,7 +67,6 @@ class TemplateTurn:
 class PatternRecipe:
     name: str
     template: tuple[TemplateTurn, ...]
-    datasets: frozenset[str]
     # Yields a dialog's anchors in turn order; the second argument makes the
     # dialog's keyed generator, which a finder that draws calls once.
     find: Callable[[Dialog, Callable[[], random.Random]], Iterator[Anchor]]
@@ -89,7 +90,7 @@ class InjectionError(NatvarError):
 
 
 def patterns_for_dataset(dataset: str) -> tuple[str, ...]:
-    return tuple(n for n in PATTERN_ORDER if dataset in RECIPES[n].datasets)
+    return tuple(n for n in PATTERN_ORDER if dataset in RECIPE_FORMATS[n])
 
 
 def keyed_rng(seed: int, dialog_id: str, pattern: str, purpose: str) -> random.Random:
@@ -167,7 +168,7 @@ def iter_anchors(recipe: PatternRecipe, d: Dialog, seed: int = 0) -> Iterator[An
     (distractors, enumerations, examples) are resolved here, with value
     draws keyed by (seed, dialog id, pattern name)."""
     dataset = "babi" if d.domain == "restaurant" else "smd"
-    if dataset in recipe.datasets and d.turns:
+    if dataset in RECIPE_FORMATS[recipe.name] and d.turns:
         yield from recipe.find(d, partial(keyed_rng, seed, d.id, recipe.name, "anchors"))
 
 
@@ -307,17 +308,17 @@ RECIPES: dict[str, PatternRecipe] = {
         PatternRecipe(
             "open_request_screening",
             _tpl((_U, "PRE-REQUEST", "intent"), (_A, "GO-AHEAD")),
-            frozenset({"babi", "smd"}), _anchors_screening,
+            _anchors_screening,
         ),
         PatternRecipe(
             "open_request_user_detail_request",
             _tpl((_U, "DETAIL-REQUEST"), (_A, "ENUMERATION", "options")),
-            frozenset({"babi"}), _anchors_user_detail,
+            _anchors_user_detail,
         ),
         PatternRecipe(
             "example_request",
             _tpl((_U, "EXAMPLE-REQUEST"), (_A, "EXAMPLE", "example")),
-            frozenset({"smd"}), _anchors_example, after=True,
+            _anchors_example, after=True,
         ),
         PatternRecipe(
             "misunderstanding_report",
@@ -327,22 +328,22 @@ RECIPES: dict[str, PatternRecipe] = {
                 (_A, "APOLOGY-REPEAT-REQUEST"),
                 (_U, "RESTATEMENT", "prior_request"),
             ),
-            frozenset({"babi", "smd"}), _anchors_misunderstanding,
+            _anchors_misunderstanding,
         ),
         PatternRecipe(
             "other_correction",
             _tpl((_U, "SLIP", "slip_utterance"), (_A, "CORRECTION", "value", "distractor")),
-            frozenset({"babi", "smd"}), _anchors_slip,
+            _anchors_slip,
         ),
         PatternRecipe(
             "sequence_closer_not_helped",
             _tpl((_U, "CLOSER"), (_A, "RECEIPT")),
-            frozenset({"babi", "smd"}), _anchors_not_helped, after=True,
+            _anchors_not_helped, after=True,
         ),
         PatternRecipe(
             "sequence_closer_repaired",
             _tpl((_U, "APPRECIATION"), (_A, "RECEIPT")),
-            frozenset({"babi", "smd"}), _anchors_repaired, after=True,
+            _anchors_repaired, after=True,
         ),
         PatternRecipe(
             "capability_expansion",
@@ -358,7 +359,7 @@ RECIPES: dict[str, PatternRecipe] = {
                 (_U, "ACKNOWLEDGEMENT"),
                 (_A, "RECEIPT"),
             ),
-            frozenset({"babi", "smd"}), _anchors_capability,
+            _anchors_capability,
         ),
         PatternRecipe(
             "recipient_correction",
@@ -372,7 +373,7 @@ RECIPES: dict[str, PatternRecipe] = {
                 (_U, "CORRECTION"),
                 (_A, "STAND-BY"),
             ),
-            frozenset({"smd"}), _anchors_recipient,
+            _anchors_recipient,
         ),
     )
 }

@@ -25,7 +25,7 @@ import json
 import re
 from collections.abc import Iterator
 
-from .catalog import check_pattern_name
+from .catalog import check_pattern
 from .io import ParseError, decode_utf8
 from .model import (
     Dialog,
@@ -118,7 +118,7 @@ def _parse_dialogue(el, index: int, entity) -> Dialog:
             raise ParseError(f"dialog {index}: empty utterance in turn {j}")
         if obj.get("injected"):
             injected_by = obj.get("pattern")
-            check_pattern_name(injected_by, f"dialog {index}: turn {j}")
+            check_pattern(injected_by, "smd", ParseError, f"dialog {index}: turn {j}")
         else:
             injected_by = None
             if not isinstance(obj["data"].get("slots") or {}, dict):

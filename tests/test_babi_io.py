@@ -158,10 +158,14 @@ class TestParse:
         with pytest.raises(ParseError, match=message):
             parse_babi(b"1 hi\thello\n", sidecar)
 
-    @pytest.mark.parametrize("pattern", ["bogus", "", "Open_Request_Screening"])
+    @pytest.mark.parametrize("pattern", ["bogus", "", "Open_Request_Screening",
+                                         "recipient_correction"])
     def test_sidecar_unknown_pattern_rejected(self, pattern):
         sidecar = f"babi-0: 1={pattern}\n".encode()
-        with pytest.raises(ParseError, match=f"sidecar line 1: unknown pattern {pattern!r}"):
+        # recipient_correction has a recipe, for SMD only
+        problem = ("pattern not applicable to babi: recipient_correction"
+                   if pattern == "recipient_correction" else f"unknown pattern {pattern!r}")
+        with pytest.raises(ParseError, match=f"^sidecar line 1: {problem}$"):
             parse_babi(b"1 hi\thello\n", sidecar)
 
     def test_sidecar_lines_end_only_at_lf_cr_or_crlf(self, inner_break, line_end):

@@ -1,4 +1,4 @@
-from natvar.catalog import CATALOG
+from natvar.catalog import CATALOG, RECIPE_FORMATS
 from natvar.recipes import PATTERN_ORDER, RECIPES
 
 
@@ -7,11 +7,11 @@ def test_catalog_has_32_entries():
 
 
 def test_exactly_nine_recipes():
-    assert sum(1 for e in CATALOG if e.has_recipe) == 9
+    assert sum(1 for e in CATALOG if e.formats) == 9
 
 
 def test_recipe_codes():
-    codes = {e.code for e in CATALOG if e.has_recipe}
+    codes = {e.code for e in CATALOG if e.formats}
     assert codes == {"A2.3", "A2.5", "B2.6.0", "B3.1.1", "B3.2.0", "B4.1", "B4.4", "C3.1", "C5.2"}
 
 
@@ -32,7 +32,7 @@ def test_catalog_names_unique():
 
 
 def test_recipes_match_catalog():
-    assert {e.name for e in CATALOG if e.has_recipe} == set(RECIPES)
+    assert {e.name for e in CATALOG if e.formats} == set(RECIPES)
 
 
 def test_pattern_order_is_the_table_row_order():
@@ -65,6 +65,6 @@ def test_added_turn_counts():
 
 
 def test_dataset_restrictions():
-    assert RECIPES["open_request_user_detail_request"].datasets == {"babi"}
-    assert RECIPES["example_request"].datasets == {"smd"}
-    assert RECIPES["recipient_correction"].datasets == {"smd"}
+    assert set(RECIPE_FORMATS["open_request_user_detail_request"]) == {"babi"}
+    assert set(RECIPE_FORMATS["example_request"]) == {"smd"}
+    assert set(RECIPE_FORMATS["recipient_correction"]) == {"smd"}

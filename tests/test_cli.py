@@ -45,7 +45,7 @@ def smd_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("config", [b"{not json", b"[1, 2]", b'{"seed": 1}',
+@pytest.mark.parametrize("config", [b"{not json", b"[1, 2]", b'{"seed": 1}', b'{"targets": [1]}',
                                     b'{"targets": {"example_request": "many"}}', b"\xff\xfe",
                                     b'{"targets": {"example_request": 1e999}}',
                                     b'{"targets": {}, "histogram_targets": [1, null]}',
@@ -243,6 +243,21 @@ def test_per_dialog_cap_shortfall_exits_3_unless_allowed(capsys, tmp_path, smd_f
     assert "capability_expansion" not in Path(f"{out}.plan.tsv").read_text()
 
 
+def test_ablate_all_shortfall_writes_nothing(capsys, tmp_path):
+    # open_request_screening alone would plan; capability_expansion cannot
+    # reach 100 in 40 dialogs, and no pattern's files may precede that refusal.
+    corpus, config, out = tmp_path / "corpus.txt", tmp_path / "config.json", tmp_path / "out"
+    corpus.write_bytes(make_babi_bytes(n_dialogs=40))
+    config.write_text(json.dumps({"targets": {"open_request_screening": 10,
+                                              "capability_expansion": 100}}))
+    code, lines = _run(capsys, ["ablate", "--all", "--input", corpus, "--format", "babi",
+                                "--config", config, "--output-dir", out])
+    assert code == 3
+    assert len(lines) == 1 and lines[0].startswith(
+        "plan shortfall: eligibility shortfall (capability_expansion: eligible ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpus.txt"]
+
+
 def test_babi_inject_to_stdout_is_a_usage_error(capsys, tmp_path):
     # bAbI text has no place for the injection marks: without --output they
     # would be lost and the updated corpus would read back as pristine.
@@ -317,6 +332,18 @@ def test_unknown_sidecar_pattern_is_a_parse_error(capsys, tmp_path):
     code, lines = _run(capsys, ["stats", "--input", path, "--format", "babi"])
     assert code == 2
     assert lines == ["error: sidecar line 1: unknown pattern 'bogus'"]
+
+
+def test_sidecar_naming_an_smd_pattern_is_a_parse_error(capsys, tmp_path):
+    # recipient_correction has a recipe, but not for bAbI: a sidecar marking
+    # an injected exchange with it does not describe a bAbI updated corpus.
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"1 hello\tgood morning\n2 table for two\tin which city\n")
+    (tmp_path / "corpus.txt.origin").write_bytes(
+        b"babi-0: 0=recipient_correction,1=recipient_correction\n")
+    code, lines = _run(capsys, ["stats", "--input", path, "--format", "babi"])
+    assert (code, lines) == (
+        2, ["error: sidecar line 1: pattern not applicable to babi: recipient_correction"])
 
 
 def test_braced_corpus_text_is_injected_verbatim(capsys, tmp_path):
@@ -431,8 +458,12 @@ def test_eval_serializes_the_manifest_once(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("report", [b"\xff{}", b"not json", b"5", b'{"bleu": "x"}',
-                                    b'{"entity_f1": 1' + b"0" * 400 + b"}", b"[" * 100_000],
-                         ids=["utf8", "json", "non-object", "non-numeric", "overflow", "nesting"])
+                                    b'{"entity_f1": 1' + b"0" * 400 + b"}", b"[" * 100_000,
+                                    # ratios are in [0, 1], not percentages
+                                    b'{"entity_f1": 55.38, "per_dialog_acc": 88.5}',
+                                    b'{"bleu": 100.5}', b'{"per_response_acc": -0.1}'],
+                         ids=["utf8", "json", "non-object", "non-numeric", "overflow", "nesting",
+                              "percentages", "bleu-above-100", "negative"])
 def test_bad_compare_report_is_a_parse_error(capsys, tmp_path, report):
     corpus = parse_corpus(make_smd_bytes(n_dialogs=2), "smd")
     manifest = export_manifest(corpus)
@@ -458,7 +489,8 @@ def test_non_utf8_candidate_file_is_a_parse_error(capsys, tmp_path, smd_file):
 
 @pytest.mark.parametrize("error, code", [(PlanMismatchError("plan/corpus mismatch"), 2),
                                          (PlanError("bad target"), 1),
-                                         (ShortfallError([("example_request", 5, 2)]), 3),
+                                         (ShortfallError("eligibility",
+                                                         ["example_request: eligible 2 < target 5"]), 3),
                                          (ParseError("bad line"), 2),
                                          (MetricError("misaligned"), 2),
                                          (ModelError("bad turn"), 2),

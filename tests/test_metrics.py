@@ -4,11 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from natvar.io import ParseError
 from natvar.manifest import EvalManifest, ManifestEntry, PredictionSet
 from natvar.metrics import (
     MetricError,
     corpus_bleu,
     entity_f1,
+    read_report,
     relative_drop_pct,
     render_comparison,
     response_accuracy,
@@ -296,7 +298,13 @@ class TestCompare:
         assert "bleu" in text and "entity_f1" in text and "%" in text
 
     def test_render_skips_a_measure_either_side_lacks(self):
-        text = render_comparison({"bleu": 14.22, "entity_f1": None, "per_dialog_acc": 88.5},
-                                 {"bleu": 4.73, "entity_f1": 0.2105, "per_dialog_acc": 12.7})
+        text = render_comparison({"bleu": 14.22, "entity_f1": None, "per_dialog_acc": 0.885},
+                                 {"bleu": 4.73, "entity_f1": 0.2105, "per_dialog_acc": 0.127})
         assert [row.split()[0] for row in text.splitlines()[2:]] == ["bleu", "per_dialog_acc"]
         assert text.splitlines()[-1].split()[-1] == "85.6%"
+
+    def test_a_report_in_percentages_is_refused(self):
+        # Read as ratios, 55.38 -> 21.05 would render as 5538.00 -> 2105.00.
+        with pytest.raises(ParseError,
+                           match=r"^report field 'entity_f1' is not a number in \[0, 1\]$"):
+            read_report(b'{"bleu": 14.22, "entity_f1": 55.38, "per_dialog_acc": 88.5}')

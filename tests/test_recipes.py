@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from natvar.babi import parse_babi
+from natvar.catalog import RECIPE_FORMATS
 from natvar.model import Dialog, DialogCorpus, KbRecord, Speaker, Turn
 from natvar.recipes import (
     RECIPES,
@@ -178,7 +179,7 @@ class TestInject:
     def test_anchor_at_a_turn_of_the_wrong_speaker_rejected(self, name, small_smd_corpus,
                                                             small_babi_corpus):
         recipe = RECIPES[name]
-        corpus = small_smd_corpus if "smd" in recipe.datasets else small_babi_corpus
+        corpus = small_smd_corpus if "smd" in RECIPE_FORMATS[name] else small_babi_corpus
         d, a = next((d, a) for d in corpus.dialogs for a in find_anchors(recipe, d))
         right = d.turns[a.turn_index].speaker
         wrong = [j for j, t in enumerate(d.turns) if t.speaker is not right]
@@ -253,7 +254,7 @@ def test_every_template_action_has_fillable_forms(name):
     recipe = RECIPES[name]
     for t in recipe.template:
         slots = {s.rstrip("0123456789").rstrip("_"): "word" for s in t.slots}
-        for domain in (dom for ds in sorted(recipe.datasets) for dom in _DOMAINS[ds]):
+        for domain in (dom for ds in sorted(RECIPE_FORMATS[name]) for dom in _DOMAINS[ds]):
             forms = variants(name, t.action, domain)
             assert forms, (t.action, domain)
             for form in forms:

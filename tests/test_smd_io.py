@@ -58,12 +58,16 @@ class TestParse:
         with pytest.raises(ParseError, match="dialog 0"):
             parse_smd(_doc([bad]))
 
-    @pytest.mark.parametrize("pattern", ["bogus", None, ["open_request_screening"]])
+    @pytest.mark.parametrize("pattern", ["bogus", None, ["open_request_screening"],
+                                         "open_request_user_detail_request"])
     def test_unknown_injected_pattern_rejected(self, pattern):
         d = _dialogue(n_exchanges=2)
         for turn in d["dialogue"][:2]:
             turn.update(injected=True, pattern=pattern)
-        with pytest.raises(ParseError, match="dialog 0: turn 0: unknown pattern"):
+        # open_request_user_detail_request has a recipe, for bAbI only
+        problem = ("pattern not applicable to smd: open_request_user_detail_request"
+                   if pattern == "open_request_user_detail_request" else "unknown pattern")
+        with pytest.raises(ParseError, match=f"^dialog 0: turn 0: {problem}"):
             parse_smd(_doc([d]))
 
     @pytest.mark.parametrize("edit, message", [
