@@ -5,7 +5,8 @@ build per-pattern ablation sets, report corpus statistics, sample dialogs
 for manual review, produce retrieval-baseline predictions, and score
 predictions under the masked evaluation protocol.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 parse or data error,
+Exit codes: 0 success, 1 usage/configuration error, 2 parse, data or I/O
+error (a missing input, an unwritable output or a closed stdout pipe alike),
 3 planner shortfall (too few eligible dialogs, or too few under the
 per-dialog cap). Diagnostics go to stderr; stdout carries data only when
 --output is absent.
@@ -122,11 +123,6 @@ def _resolve_config(args, fmt: str):
         raise PlanError(f"invalid config {args.config}: {e}") from e
 
 
-def _plan_dump(pln) -> bytes:
-    lines = [f"{a.dialog_id}\t{a.pattern}\t{a.anchor.turn_index}" for a in pln.assignments]
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
-
-
 def _inject_diagnostics(pln, updated, cfg) -> list[str]:
     from .planner import overlap_histogram
 
@@ -164,15 +160,20 @@ def _write_run(base, subcommand: str, config: dict, inputs: dict, seed: int | No
                                         encoding="utf-8")
 
 
-def _save_with_manifest(corpus, out: Path) -> list[str]:
-    """Write the corpus, its bAbI sidecar and OUT.manifest.tsv, each streamed; returns the paths."""
+def _write_testbed(updated, pln, out: Path, subcommand: str, config: dict, inputs: dict,
+                   notes: list[str]) -> None:
+    """Write the testbed of one plan: OUT (and its bAbI sidecar), OUT.manifest.tsv,
+    OUT.plan.tsv (one dialog id, pattern and anchor turn per assignment) and
+    OUT.run.json, each streamed."""
     from .io import save_corpus, write_chunks
     from .manifest import export_chunks
 
-    written = [str(p) for p in save_corpus(corpus, out)]
-    write_chunks(f"{out}.manifest.tsv", export_chunks(corpus))
-    written.append(f"{out}.manifest.tsv")
-    return written
+    written = [str(p) for p in save_corpus(updated, out)]
+    write_chunks(f"{out}.manifest.tsv", export_chunks(updated))
+    write_chunks(f"{out}.plan.tsv", (f"{a.dialog_id}\t{a.pattern}\t{a.anchor.turn_index}\n".encode()
+                                     for a in pln.assignments))
+    written += [f"{out}.manifest.tsv", f"{out}.plan.tsv"]
+    _write_run(out, subcommand, config, inputs, pln.seed, written, notes)
 
 
 def cmd_inject(args) -> int:
@@ -190,12 +191,8 @@ def cmd_inject(args) -> int:
     for note in notes:
         print(note, file=sys.stderr)
     if args.output:
-        out = Path(args.output)
-        written = _save_with_manifest(updated, out)
-        Path(f"{out}.plan.tsv").write_bytes(_plan_dump(pln))
-        written.append(f"{out}.plan.tsv")
-        _write_run(out, "inject", cfg.to_dict(),
-                   {args.input: sha256_hex(corpus.source_bytes)}, cfg.seed, written, notes)
+        _write_testbed(updated, pln, Path(args.output), "inject", cfg.to_dict(),
+                       {args.input: sha256_hex(corpus.source_bytes)}, notes)
     else:
         sys.stdout.buffer.writelines(corpus_chunks(updated))
     return 0
@@ -223,10 +220,10 @@ def cmd_ablate(args) -> int:
     inputs = {args.input: sha256_hex(corpus.source_bytes)}
     for name, pln in plans:
         updated = execute(corpus, pln)
-        out = outdir / f"{name}.{ext}"
-        written = _save_with_manifest(updated, out)
-        print(f"{name}: mean utterances/dialog = {mean_utterances(updated):.2f}", file=sys.stderr)
-        _write_run(out, "ablate", dict(cfg.to_dict(), pattern=name), inputs, cfg.seed, written)
+        note = f"{name}: mean utterances/dialog = {mean_utterances(updated):.2f}"
+        print(note, file=sys.stderr)
+        _write_testbed(updated, pln, outdir / f"{name}.{ext}", "ablate",
+                       dict(cfg.to_dict(), pattern=name), inputs, [note])
     return 0
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from natvar import cli
+from natvar.manifest import export_chunks
 from natvar.metrics import render_comparison
 from natvar.planner import PRESETS
 from natvar.synthetic import make_babi_bytes, make_smd_bytes
@@ -59,16 +60,68 @@ def test_ablate_all_writes_what_each_single_pattern_run_writes(capsys, tmp_path)
                                       tmp_path / "all"]]) == 0
     capsys.readouterr()
     patterns = list(PRESETS["babi-table1"]["targets"])
-    assert len(patterns) == 7 and len(list((tmp_path / "all").iterdir())) == 7 * 4
+    assert len(patterns) == 7 and len(list((tmp_path / "all").iterdir())) == 7 * 5
     for pattern in patterns:
         one = tmp_path / pattern
         subprocess.run([sys.executable, "-m", "natvar.cli", "ablate", *map(str, plan_args),
                         "--pattern", pattern, "--output-dir", str(one)], check=True,
                        env=dict(os.environ, PYTHONPATH=str(SRC)), stderr=subprocess.DEVNULL)
         names = sorted(p.name for p in one.iterdir() if not p.name.endswith(".run.json"))
-        assert names == sorted(f"{pattern}.txt{ext}" for ext in ("", ".origin", ".manifest.tsv"))
+        assert names == sorted(f"{pattern}.txt{ext}"
+                               for ext in ("", ".origin", ".manifest.tsv", ".plan.tsv"))
         for name in names:
             assert (tmp_path / "all" / name).read_bytes() == (one / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("fmt", sorted(CASES))
+def test_each_ablation_corpus_is_its_patterns_solo_inject(capsys, tmp_path, fmt):
+    # An ablation corpus is the testbed `inject` writes for a config that keeps
+    # only its pattern's target, at the same seed and cap, without bucket targets.
+    make, ext, _, targets = CASES[fmt]
+    corpus = tmp_path / f"corpus.{ext}"
+    corpus.write_bytes(make())
+    shared = {"seed": 1, "max_patterns_per_dialog": 2}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(shared, targets=targets, histogram_targets=[6, 2, 0])),
+                      encoding="utf-8")
+    corpus_args = ["--input", corpus, "--format", fmt]
+    assert cli.main([str(a) for a in ["ablate", *corpus_args, "--config", config, "--all",
+                                      "--output-dir", tmp_path / "all"]]) == 0
+    notes = capsys.readouterr().err.splitlines()
+    assert len(notes) == len(targets)
+    for pattern, target in targets.items():
+        solo = tmp_path / f"{pattern}.config.json"
+        solo.write_text(json.dumps(dict(shared, targets={pattern: target})), encoding="utf-8")
+        out = tmp_path / f"{pattern}.{ext}"
+        assert cli.main([str(a) for a in ["inject", *corpus_args, "--config", solo,
+                                          "--output", out]]) == 0
+        ablated = tmp_path / "all" / f"{pattern}.{ext}"
+        for suffix in ("", ".manifest.tsv", ".plan.tsv") + ((".origin",) if fmt == "babi" else ()):
+            assert Path(f"{ablated}{suffix}").read_bytes() == Path(f"{out}{suffix}").read_bytes()
+        rows = [line.split("\t") for line in Path(f"{ablated}.plan.tsv").read_text().splitlines()]
+        assert len(rows) == target and all(row[1] == pattern for row in rows)
+        record = json.loads(Path(f"{ablated}.run.json").read_text(encoding="utf-8"))
+        assert record["notes"] == [n for n in notes if n.startswith(f"{pattern}: ")]
+        assert record["outputs"][-1] == f"{ablated}.plan.tsv"
+
+
+@pytest.mark.parametrize("fmt", ["babi", "smd"])
+def test_an_empty_plan_writes_the_original_testbed(capsys, request, tmp_path, fmt):
+    # The original row of a pattern table: no target, so the corpus is the
+    # input's bytes, the plan is empty and the manifest is the input's.
+    data = request.getfixturevalue(f"{fmt}_bytes")
+    corpus = tmp_path / f"corpus.{fmt}"
+    corpus.write_bytes(data)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"targets": {}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert _step(tmp_path, ["inject", "--input", corpus, "--format", fmt, "--config", config,
+                            "--output", out]) == {"out", "out.manifest.tsv", "out.plan.tsv",
+                                                  "out.run.json"}
+    assert out.read_bytes() == data
+    assert (tmp_path / "out.plan.tsv").read_bytes() == b""
+    source = request.getfixturevalue(f"{fmt}_corpus")
+    assert (tmp_path / "out.manifest.tsv").read_bytes() == b"".join(export_chunks(source))
 
 
 @pytest.mark.parametrize("fmt", sorted(CASES))
@@ -114,7 +167,7 @@ def test_round_trip(capsys, tmp_path, fmt):
     ablated = f"ablate/{pattern}.{ext}"
     assert _step(tmp_path, ["ablate", *plan_args, "--pattern", pattern,
                             "--output-dir", tmp_path / "ablate"]) == {
-        ablated, f"{ablated}.manifest.tsv", f"{ablated}.run.json"} | (
+        ablated, f"{ablated}.manifest.tsv", f"{ablated}.plan.tsv", f"{ablated}.run.json"} | (
         {f"{ablated}.origin"} if fmt == "babi" else set())
     _check_record(tmp_path, ablated, "ablate", {str(corpus): corpus})
 

@@ -1,45 +1,59 @@
-"""The files `save_corpus` and the CLI's corpus writer stream out are the
+"""The files `save_corpus` and the CLI's testbed writer stream out are the
 bytes the `serialize_*` functions return, and the streamed corpus digest is
 the hash of the joined payloads."""
 
 import gc
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
 
 from natvar.babi import parse_babi, serialize_origin_sidecar
-from natvar.cli import _save_with_manifest
+from natvar.cli import _write_testbed
 from natvar.io import save_corpus, serialize_corpus
 from natvar.manifest import export_manifest, parse_manifest, read_predictions, serialize_manifest
 from natvar.model import Dialog, DialogCorpus, ModelError, Speaker, Turn, content_digest
-from natvar.planner import PlanConfig, execute, plan, preset_config
+from natvar.planner import InjectionPlan, PlanConfig, execute, plan, preset_config
 from natvar.stats import corpus_stats
 
 TARGETS = {"open_request_screening": 5, "misunderstanding_report": 5}
 
 
-def _updated(corpus):
-    cfg = PlanConfig(targets=TARGETS, seed=3, max_patterns_per_dialog=5, histogram_targets=None)
-    return execute(corpus, plan(corpus, cfg))
+def _testbed(corpus, targets=TARGETS):
+    """(the corpus `targets` make of `corpus`, the plan that made it)."""
+    cfg = PlanConfig(targets=targets, seed=3, max_patterns_per_dialog=5, histogram_targets=None)
+    pln = plan(corpus, cfg)
+    return execute(corpus, pln), pln
 
 
 @pytest.fixture(params=["babi-pristine", "babi-injected", "smd-pristine", "smd-injected"])
-def corpus(request, small_babi_corpus, small_smd_corpus):
+def testbed(request, small_babi_corpus, small_smd_corpus):
     source = small_babi_corpus if request.param.startswith("babi") else small_smd_corpus
-    return _updated(source) if request.param.endswith("injected") else source
+    return _testbed(source, TARGETS if request.param.endswith("injected") else {})
 
 
-def test_saved_files_are_the_serialized_bytes(tmp_path, corpus):
+@pytest.fixture
+def corpus(testbed):
+    return testbed[0]
+
+
+def test_saved_files_are_the_serialized_bytes(tmp_path, testbed):
+    corpus, pln = testbed
     out = tmp_path / "out"
-    written = _save_with_manifest(corpus, out)
+    _write_testbed(corpus, pln, out, "inject", {}, {}, [])
     expected = {out: serialize_corpus(corpus),
                 tmp_path / "out.manifest.tsv": serialize_manifest(export_manifest(corpus))}
     if corpus.source_format == "babi" and not corpus.is_pristine:
         expected[tmp_path / "out.origin"] = serialize_origin_sidecar(corpus)
-    assert sorted(written) == sorted(map(str, expected))
+    rows = [line.split("\t") for line in (tmp_path / "out.plan.tsv").read_text().splitlines()]
+    assert rows == [[a.dialog_id, a.pattern, str(a.anchor.turn_index)] for a in pln.assignments]
+    assert bool(rows) == (not corpus.is_pristine)
+    record = json.loads((tmp_path / "out.run.json").read_text(encoding="utf-8"))
+    assert sorted(record["outputs"]) == sorted(map(str, [*expected, tmp_path / "out.plan.tsv"]))
     assert {p: p.read_bytes() for p in expected} == expected
-    assert sorted(tmp_path.iterdir()) == sorted(expected)
+    assert sorted(tmp_path.iterdir()) == sorted(
+        [*expected, tmp_path / "out.plan.tsv", tmp_path / "out.run.json"])
 
 
 def test_pristine_babi_is_saved_as_its_source_bytes(tmp_path, small_babi_corpus):
@@ -48,7 +62,7 @@ def test_pristine_babi_is_saved_as_its_source_bytes(tmp_path, small_babi_corpus)
 
 
 def test_in_memory_digest_is_the_hash_of_the_joined_payloads(small_babi_corpus, small_smd_corpus):
-    for corpus in (_updated(small_babi_corpus), _updated(small_smd_corpus)):
+    for corpus, _ in (_testbed(small_babi_corpus), _testbed(small_smd_corpus)):
         assert not corpus.source_bytes
         payloads = [(f"{d.id}|{d.domain}|" + "\x1f".join(
             f"{t.speaker.value}:{t.injected_by or ''}:{t.text}" for t in d.turns)).encode()
@@ -91,13 +105,19 @@ def test_odd_turn_count_leaves_no_file(tmp_path):
     with pytest.raises(ModelError, match=message):
         serialize_corpus(odd)
     with pytest.raises(ModelError, match=message):
-        _save_with_manifest(odd, tmp_path / "out")
+        _write_testbed(odd, InjectionPlan((), "", 0), tmp_path / "out", "inject", {}, {}, [])
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")
-def injected_babi(babi_corpus):
-    return execute(babi_corpus, plan(babi_corpus, preset_config("babi-table1")))
+def babi_testbed(babi_corpus):
+    pln = plan(babi_corpus, preset_config("babi-table1"))
+    return execute(babi_corpus, pln), pln
+
+
+@pytest.fixture(scope="module")
+def injected_babi(babi_testbed):
+    return babi_testbed[0]
 
 
 def test_manifest_digest_is_the_hash_of_the_manifest_file(corpus):
@@ -105,15 +125,17 @@ def test_manifest_digest_is_the_hash_of_the_manifest_file(corpus):
     assert m.digest() == hashlib.sha256(serialize_manifest(m)).hexdigest()
 
 
-def test_save_keeps_nothing_it_wrote_for_a_spliced_dialog(tmp_path, injected_babi, traced):
+def test_save_keeps_nothing_it_wrote_for_a_spliced_dialog(tmp_path, babi_testbed, traced):
     # A spliced dialog is written once, so it keeps none of its outputs, only
     # the empty attribute table that looking them up makes (64 bytes each,
     # 2.9% of the file on Python 3.11). Keeping them is 2.6 times the file.
     # The collection clears the interpreter's free lists, which tracemalloc
     # counts as allocated.
+    injected_babi, pln = babi_testbed
     assert all(d.applied_patterns for d in injected_babi.dialogs)
     out = tmp_path / "out.txt"
-    _, retained, _ = traced(lambda: (_save_with_manifest(injected_babi, out), gc.collect()))
+    _, retained, _ = traced(lambda: (_write_testbed(injected_babi, pln, out, "inject", {}, {}, []),
+                                     gc.collect()))
     assert retained < 0.05 * out.stat().st_size
 
 
